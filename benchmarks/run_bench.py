@@ -6,11 +6,13 @@ against its predecessors on the same hardware.  The measured layers:
 
 * **serve throughput** — whole-run requests/second per algorithm on the
   microbench configuration (1,023-node tree, combined-locality workload,
-  ``keep_records=False``), once per serve backend (``python`` scalar loops
-  versus ``array`` typed-array placement + vectorised batch serving), plus
-  the streaming serve cost with per-request cost records kept; and
-* **backend equivalence** — a guard that both backends produce identical
-  totals and placements before any throughput number is trusted; and
+  ``keep_records=False``), once per batch kernel (the ``scalar`` loop versus
+  the ``vectorised`` NumPy kernels, each forced through the kernel
+  threshold) at chunk sizes 1, 16 and 4096, plus the streaming serve cost
+  with per-request cost records kept; and
+* **kernel equivalence** — a guard that both kernels produce identical
+  totals and placements for every algorithm at every benchmarked chunk size
+  before any throughput number is trusted; and
 * **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
   ``n_jobs=1`` versus ``n_jobs=<cpus>``, together with a determinism check
   that both produce identical aggregates; and
@@ -48,6 +50,7 @@ default configuration matches the numbers recorded in ``BENCH_serve.json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -59,7 +62,7 @@ from pathlib import Path
 import pickle
 
 from repro.algorithms.registry import make_algorithm
-from repro.core import backend as backend_mod
+from repro.core import backend as kernel_mod
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network.traffic import TrafficSpec
 from repro.plans import NetworkPlan, RunConfig, load_golden_plan, plan_with_overrides
@@ -83,50 +86,74 @@ SEED_BASELINE_US_PER_REQUEST = {
 }
 
 #: All benchmarked algorithms: the seed-baselined six plus Static-Opt (added
-#: with the array backend, which vectorises its whole serve loop; it has no
-#: seed-era baseline to compare against).
+#: with the vectorised kernels; it has no seed-era baseline to compare
+#: against).
 ALGORITHMS = list(SEED_BASELINE_US_PER_REQUEST) + ["static-opt"]
 
+#: Kernel thresholds that force each side of ``serve_batch``'s choice.
+KERNEL_THRESHOLDS = {"scalar": sys.maxsize, "vectorised": 1}
 
-def _chunks_for(n_nodes: int, n_requests: int, backend: str):
-    """Materialise the benchmark stream in the backend's transport format.
+#: Chunk sizes of the per-kernel serve entries: the live path's single
+#: requests and 16-request batches, and the batch path's long chunks.
+SERVE_CHUNK_SIZES = (1, 16, 4096)
+
+
+@contextlib.contextmanager
+def forced_kernel(kernel: str):
+    """Run ``serve_batch`` on one kernel side, whatever the chunk length."""
+    saved = kernel_mod.BATCH_KERNEL_MIN_CHUNK
+    kernel_mod.BATCH_KERNEL_MIN_CHUNK = KERNEL_THRESHOLDS[kernel]
+    try:
+        yield
+    finally:
+        kernel_mod.BATCH_KERNEL_MIN_CHUNK = saved
+
+
+def _chunks_for(n_nodes: int, n_requests: int, chunk_size: int = 4096):
+    """Materialise the benchmark stream in the runner's transport format.
 
     Generation happens outside the timed region; what is timed is exactly
     what a pool worker does with chunks in hand: ``run_stream`` into the
-    serve path.
+    serve path.  Chunks are ndarrays whenever NumPy is importable.
     """
     workload = CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=1)
-    as_array = backend == "array" and backend_mod.HAS_NUMPY
-    return list(workload.iter_requests(n_requests, as_array=as_array))
+    return list(
+        workload.iter_requests(
+            n_requests, chunk_size, as_array=kernel_mod.HAS_NUMPY
+        )
+    )
 
 
 def bench_serve(
-    n_nodes: int, n_requests: int, repeats: int, backend: str, reference: dict = None
+    n_nodes: int,
+    n_requests: int,
+    repeats: int,
+    kernel: str,
+    chunk_size: int,
+    reference: dict = None,
 ) -> dict:
     """Whole-run serve throughput per algorithm (keep_records=False fast loop).
 
-    ``reference`` (the python-backend result, when benchmarking the array
-    backend) adds a ``speedup_vs_python`` figure per algorithm.
+    ``reference`` (the scalar result at the same chunk size, when
+    benchmarking the vectorised kernels) adds a ``speedup_vs_scalar`` figure
+    per algorithm.
     """
-    chunks = _chunks_for(n_nodes, n_requests, backend)
+    chunks = _chunks_for(n_nodes, n_requests, chunk_size)
     results = {}
     for name in ALGORITHMS:
         best = float("inf")
         for _ in range(repeats):
             instance = make_algorithm(
-                name,
-                n_nodes=n_nodes,
-                placement_seed=2,
-                seed=3,
-                keep_records=False,
-                backend=backend,
+                name, n_nodes=n_nodes, placement_seed=2, seed=3, keep_records=False
             )
-            start = time.perf_counter()
-            instance.run_stream(chunks)
-            best = min(best, time.perf_counter() - start)
+            with forced_kernel(kernel):
+                start = time.perf_counter()
+                instance.run_stream(chunks)
+                best = min(best, time.perf_counter() - start)
         us_per_request = best / n_requests * 1e6
         entry = {
-            "backend": backend,
+            "kernel": kernel,
+            "chunk_size": chunk_size,
             "us_per_request": round(us_per_request, 4),
             "requests_per_sec": round(n_requests / best),
         }
@@ -135,15 +162,28 @@ def bench_serve(
             entry["seed_us_per_request"] = baseline
             entry["speedup_vs_seed"] = round(baseline / us_per_request, 2)
         if reference is not None:
-            entry["speedup_vs_python"] = round(
+            entry["speedup_vs_scalar"] = round(
                 reference[name]["us_per_request"] / us_per_request, 2
             )
         results[name] = entry
     return results
 
 
+def bench_serve_kernels(n_nodes: int, n_requests: int, repeats: int) -> dict:
+    """Per-kernel serve entries, keyed ``kernel -> chunk_<size> -> algorithm``."""
+    entries = {"scalar": {}, "vectorised": {}}
+    for chunk_size in SERVE_CHUNK_SIZES:
+        key = f"chunk_{chunk_size}"
+        scalar = bench_serve(n_nodes, n_requests, repeats, "scalar", chunk_size)
+        entries["scalar"][key] = scalar
+        entries["vectorised"][key] = bench_serve(
+            n_nodes, n_requests, repeats, "vectorised", chunk_size, reference=scalar
+        )
+    return entries
+
+
 def bench_serve_with_records(
-    n_nodes: int, n_requests: int, repeats: int, backend: str
+    n_nodes: int, n_requests: int, repeats: int, kernel: str
 ) -> dict:
     """Streaming serve cost with per-request cost records retained.
 
@@ -154,57 +194,53 @@ def bench_serve_with_records(
     timed region — comparable to the pre-columnar numbers, which built one
     record object per request while serving.
     """
-    chunks = _chunks_for(n_nodes, n_requests, backend)
+    chunks = _chunks_for(n_nodes, n_requests)
     results = {}
     for name in ("rotor-push", "static-oblivious"):
         best = float("inf")
         for _ in range(repeats):
             instance = make_algorithm(
-                name,
-                n_nodes=n_nodes,
-                placement_seed=2,
-                seed=3,
-                keep_records=True,
-                backend=backend,
+                name, n_nodes=n_nodes, placement_seed=2, seed=3, keep_records=True
             )
-            start = time.perf_counter()
-            result = instance.run_stream(chunks)
-            consumed = sum(record.access_cost for record in result.per_request)
-            best = min(best, time.perf_counter() - start)
+            with forced_kernel(kernel):
+                start = time.perf_counter()
+                result = instance.run_stream(chunks)
+                consumed = sum(record.access_cost for record in result.per_request)
+                best = min(best, time.perf_counter() - start)
         assert len(result.per_request) == n_requests
         assert consumed == result.total_access_cost
         results[name] = {
-            "backend": backend,
+            "kernel": kernel,
             "us_per_request": round(best / n_requests * 1e6, 4),
             "requests_per_sec": round(n_requests / best),
         }
     return results
 
 
-def bench_backend_equivalence(n_nodes: int, n_requests: int) -> dict:
-    """Assert both backends produce identical costs and placements."""
+def bench_kernel_equivalence(n_nodes: int, n_requests: int) -> dict:
+    """Assert both kernels produce identical costs and placements.
+
+    Every algorithm, at every benchmarked chunk size.
+    """
     identical = True
-    for name in ALGORITHMS:
-        outcomes = {}
-        for backend in ("python", "array"):
-            chunks = _chunks_for(n_nodes, n_requests, backend)
-            instance = make_algorithm(
-                name,
-                n_nodes=n_nodes,
-                placement_seed=2,
-                seed=3,
-                keep_records=False,
-                backend=backend,
-            )
-            result = instance.run_stream(chunks)
-            outcomes[backend] = (
-                result.total_access_cost,
-                result.total_adjustment_cost,
-                result.n_requests,
-                instance.network.placement(),
-            )
-        identical = identical and outcomes["python"] == outcomes["array"]
-    return {"identical": identical}
+    for chunk_size in SERVE_CHUNK_SIZES:
+        chunks = _chunks_for(n_nodes, n_requests, chunk_size)
+        for name in ALGORITHMS:
+            outcomes = {}
+            for kernel in KERNEL_THRESHOLDS:
+                instance = make_algorithm(
+                    name, n_nodes=n_nodes, placement_seed=2, seed=3, keep_records=False
+                )
+                with forced_kernel(kernel):
+                    result = instance.run_stream(chunks)
+                outcomes[kernel] = (
+                    result.total_access_cost,
+                    result.total_adjustment_cost,
+                    result.n_requests,
+                    instance.network.placement(),
+                )
+            identical = identical and outcomes["scalar"] == outcomes["vectorised"]
+    return {"identical": identical, "chunk_sizes": list(SERVE_CHUNK_SIZES)}
 
 
 def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
@@ -587,7 +623,6 @@ def main(argv=None) -> int:
         corpus_books, corpus_scale, corpus_requests = 3, 0.15, 30_000
         live_nodes, live_sources, live_requests, live_batch = 1_023, 4, 5_000, 16
 
-    serve_python = bench_serve(serve_nodes, serve_requests, repeats, "python")
     report = {
         "benchmark": "BENCH_serve",
         "quick": args.quick,
@@ -603,20 +638,17 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
-            "numpy": backend_mod.np.__version__ if backend_mod.HAS_NUMPY else None,
+            "numpy": kernel_mod.np.__version__ if kernel_mod.HAS_NUMPY else None,
         },
-        "backend_equivalence": bench_backend_equivalence(
+        "kernel_equivalence": bench_kernel_equivalence(
             serve_nodes, min(serve_requests, 5_000)
         ),
-        "serve_fast_loop": serve_python,
-        "serve_fast_loop_array": bench_serve(
-            serve_nodes, serve_requests, repeats, "array", reference=serve_python
-        ),
+        "serve_kernels": bench_serve_kernels(serve_nodes, serve_requests, repeats),
         "serve_with_records": bench_serve_with_records(
-            serve_nodes, serve_requests, repeats, "python"
+            serve_nodes, serve_requests, repeats, "scalar"
         ),
-        "serve_with_records_array": bench_serve_with_records(
-            serve_nodes, serve_requests, repeats, "array"
+        "serve_with_records_vectorised": bench_serve_with_records(
+            serve_nodes, serve_requests, repeats, "vectorised"
         ),
         "parallel_trials": bench_parallel(par_nodes, par_requests, par_trials),
         "fanout_payloads": bench_fanout(
@@ -646,8 +678,8 @@ def main(argv=None) -> int:
         Path(args.out).write_text(payload + "\n")
         print(f"\nwrote {args.out}", file=sys.stderr)
 
-    if not report["backend_equivalence"]["identical"]:
-        print("ERROR: array backend diverged from python backend", file=sys.stderr)
+    if not report["kernel_equivalence"]["identical"]:
+        print("ERROR: vectorised kernels diverged from the scalar loop", file=sys.stderr)
         return 1
     if not report["parallel_trials"]["deterministic"]:
         print("ERROR: parallel run diverged from serial run", file=sys.stderr)

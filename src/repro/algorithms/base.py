@@ -147,30 +147,18 @@ class OnlineTreeAlgorithm(abc.ABC):
         placement_seed: Optional[int] = None,
         keep_records: bool = True,
         enforce_marking: bool = False,
-        backend: Optional[str] = None,
         **kwargs,
     ) -> "OnlineTreeAlgorithm":
         """Build the algorithm on a fresh tree with a random initial placement.
 
         Exactly one of ``n_nodes`` or ``depth`` must be given.  The initial
         placement is uniformly random, seeded by ``placement_seed``, matching
-        the paper's experimental setup.  ``backend`` selects the serve
-        backend of the underlying network (see :mod:`repro.core.backend`).
-        Additional keyword arguments are forwarded to the algorithm
-        constructor (for example ``seed`` for Random-Push).
+        the paper's experimental setup.  Additional keyword arguments are
+        forwarded to the algorithm constructor (for example ``seed`` for
+        Random-Push).
         """
         if (n_nodes is None) == (depth is None):
             raise AlgorithmError("specify exactly one of n_nodes or depth")
-        if backend is None or backend == "auto":
-            # Per-algorithm auto-detection, backed by the measured preference
-            # table in repro.core.backend (typed-array placement pays for
-            # itself only when a vectorised batch port consumes the NumPy
-            # views).  Explicit names are always honoured.
-            backend = _backend.auto_backend_for(
-                cls.name,
-                self_adjusting=cls.is_self_adjusting,
-                batch_root_promote=cls.batch_root_promote,
-            )
         tree = (
             CompleteBinaryTree(n_nodes)
             if n_nodes is not None
@@ -182,7 +170,6 @@ class OnlineTreeAlgorithm(abc.ABC):
             with_rotor=cls._needs_rotor(),
             enforce_marking=enforce_marking,
             keep_records=keep_records,
-            backend=backend,
         )
         return cls(network, **kwargs)
 
@@ -299,9 +286,9 @@ class OnlineTreeAlgorithm(abc.ABC):
     ) -> RunResult:
         """Shared serve loop of :meth:`run` and :meth:`run_stream`.
 
-        Every chunk goes through :meth:`serve_batch`, which dispatches to the
-        vectorised array-backend implementations where available and to the
-        scalar fast loop otherwise — the streaming chunks are the batch unit.
+        Every chunk goes through :meth:`serve_batch`, which picks a
+        vectorised kernel or the scalar fast loop per chunk — the streaming
+        chunks are the batch unit.
         """
         network = self.network
         ledger = network.ledger
@@ -327,28 +314,31 @@ class OnlineTreeAlgorithm(abc.ABC):
         Observable behaviour (final placement, ledger totals, per-request
         records, RNG consumption) is identical to serving the chunk one
         request at a time through :meth:`serve` — property tests pin this for
-        every algorithm and backend.  On an array-backend network with NumPy
-        available, algorithms with a vectorised port settle most of the chunk
-        with array operations; everything else runs the scalar fast loop
-        (with the marking-enforced reference path as the checked fallback).
+        every algorithm and kernel.  The kernel is chosen per chunk: when
+        NumPy is importable, the marking discipline is off, the algorithm has
+        a vectorised port (:meth:`_batch_kernel`) and the chunk holds at
+        least :data:`repro.core.backend.BATCH_KERNEL_MIN_CHUNK` requests, the
+        port settles it with array operations; everything else runs the
+        scalar fast loop (with the marking-enforced reference path as the
+        checked fallback).
         """
         if not self._prepared:
             raise AlgorithmError(
                 f"{self.name} requires prepare(sequence) before serving requests"
             )
         network = self.network
-        if not network.enforce_marking and _backend.vectorise_active(network.backend):
-            chunk = _backend.as_request_array(requests)
-            if chunk.shape[0] == 0:
-                return 0
-            served = self._serve_batch_array(chunk)
-            if served is not None:
-                return served
-            requests = chunk.tolist()
-        elif _backend.HAS_NUMPY and isinstance(requests, _backend.np.ndarray):
-            # Scalar loops iterate Python ints; boxing NumPy scalars one by
-            # one in the loop would be slower than one bulk conversion.
-            requests = requests.tolist()
+        if _backend.HAS_NUMPY:
+            if (
+                not network.enforce_marking
+                and len(requests) >= _backend.BATCH_KERNEL_MIN_CHUNK
+            ):
+                kernel = self._batch_kernel()
+                if kernel is not None:
+                    return kernel(_backend.as_request_array(requests))
+            if isinstance(requests, _backend.np.ndarray):
+                # Scalar loops iterate Python ints; boxing NumPy scalars one
+                # by one in the loop would be slower than one bulk conversion.
+                requests = requests.tolist()
         if network.enforce_marking:
             for element in requests:
                 self.serve(element)
@@ -360,25 +350,26 @@ class OnlineTreeAlgorithm(abc.ABC):
             count += 1
         return count
 
-    def _serve_batch_array(self, chunk) -> Optional[int]:
-        """Vectorised batch serve of an ndarray chunk, or ``None`` if unported.
+    def _batch_kernel(self):
+        """Return the vectorised batch kernel of this algorithm, or ``None``.
 
-        Called only on array-backend networks with NumPy importable and the
-        marking discipline off.  The two built-in ports cover the cheap-adjust
-        algorithms: static trees (no adjustment at all) and root-promoting
-        algorithms (see :attr:`batch_root_promote`); subclasses may override
-        for bespoke vectorisation.
+        Consulted only when NumPy is importable and the marking discipline is
+        off.  The two built-in ports cover the cheap-adjust algorithms:
+        static trees (no adjustment at all) and root-promoting algorithms
+        (see :attr:`batch_root_promote`); subclasses may override for bespoke
+        vectorisation.  A kernel takes a non-empty ndarray chunk and returns
+        the number of requests served.
         """
         if not self.is_self_adjusting:
-            return self._serve_batch_static(chunk)
+            return self._serve_batch_static
         if self.batch_root_promote:
             if type(self)._adjust_fast is OnlineTreeAlgorithm._adjust_fast:
                 # The root-promote port drives _adjust_fast directly; a
-                # subclass that sets the flag without a trusted port falls
-                # back to the scalar loop (whose checked-reference fallback
-                # handles the missing port per request).
+                # subclass that sets the flag without a trusted port keeps
+                # the scalar loop (whose checked-reference fallback handles
+                # the missing port per request).
                 return None
-            return self._serve_batch_root_promote(chunk)
+            return self._serve_batch_root_promote
         return None
 
     @staticmethod
@@ -400,10 +391,13 @@ class OnlineTreeAlgorithm(abc.ABC):
 
         The placement is constant across the chunk, so the levels of all
         requested elements come from two fancy-indexes (element -> node ->
-        level) and the chunk is accounted with one ledger call.
+        level) and the chunk is accounted with one ledger call.  The
+        ``node_of`` snapshot is taken per chunk rather than cached, so it can
+        never go stale (Static-Opt's ``prepare`` replaces the placement).
         """
+        np = _backend.np
         network = self.network
-        node_of = network._node_of_np
+        node_of = np.asarray(network._node_of, dtype=np.intp)
         n_elements = node_of.shape[0]
         self._check_batch_bounds(chunk, n_elements)
         levels = _backend.node_levels_view(n_elements)[node_of[chunk]]

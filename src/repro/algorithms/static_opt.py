@@ -32,10 +32,10 @@ def frequency_placement(n_nodes: int, sequence: RequestSequence) -> List[Element
     broken by element identifier so the placement is deterministic.
     Elements that never appear in the sequence fill the remaining nodes.
 
-    An ndarray sequence (the array backend's transport format) is counted
-    with ``bincount`` and ordered with a stable argsort on negated counts —
-    the stable sort reproduces the identifier tie-break exactly, so both
-    paths return the same placement for the same requests.
+    An ndarray sequence (the chunk transport format when NumPy is present)
+    is counted with ``bincount`` and ordered with a stable argsort on negated
+    counts — the stable sort reproduces the identifier tie-break exactly, so
+    both paths return the same placement for the same requests.
     """
     if _backend.HAS_NUMPY and isinstance(sequence, _backend.np.ndarray):
         np = _backend.np

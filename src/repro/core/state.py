@@ -19,10 +19,8 @@ marked; after the swap both involved nodes are marked" - is enforced when
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core import backend as _backend
 from repro.core.cost import CostLedger
 from repro.core.rotor import RotorState
 from repro.core.tree import CompleteBinaryTree
@@ -92,19 +90,6 @@ class TreeNetwork:
         same tree).  Takes precedence over ``with_rotor``; used by
         :meth:`copy` so rotor pointers travel through the constructor instead
         of being bolted on afterwards.
-    backend:
-        Serve-backend selection (see :mod:`repro.core.backend`).  With the
-        ``"python"`` backend the placement arrays are plain lists; with the
-        ``"array"`` backend they are typed arrays (``array('i')``) plus a
-        zero-copy NumPy view (when NumPy is importable) that the vectorised
-        batch serve loops read.  ``None`` defaults to ``"python"``: a bare
-        network has no vectorised consumer, and typed-array scalar indexing
-        is slightly slower than lists.  Callers that will serve vectorised
-        batches opt in with ``"array"`` or ``"auto"`` (which picks
-        ``"array"`` when NumPy is available) —
-        :meth:`repro.algorithms.base.OnlineTreeAlgorithm.for_tree` does this
-        per algorithm.  Both backends behave identically through every
-        public method; the scalar fast paths index either storage unchanged.
 
     Notes
     -----
@@ -120,10 +105,8 @@ class TreeNetwork:
         "rotor",
         "ledger",
         "enforce_marking",
-        "backend",
         "_elem_at",
         "_node_of",
-        "_node_of_np",
         "_mark_epoch",
         "_epoch",
     )
@@ -136,18 +119,8 @@ class TreeNetwork:
         ledger: Optional[CostLedger] = None,
         enforce_marking: bool = False,
         rotor: Optional[RotorState] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.tree = tree
-        # None means "no preference" and falls back to the canonical python
-        # backend; the capability-style auto ("array" when NumPy importable)
-        # must be requested explicitly because a bare network cannot know
-        # whether anything will serve it vectorised.
-        self.backend = (
-            _backend.BACKEND_PYTHON
-            if backend is None
-            else _backend.resolve_backend(backend)
-        )
         if placement is None:
             placement = identity_placement(tree.n_nodes)
         self._set_placement(placement)
@@ -176,7 +149,6 @@ class TreeNetwork:
         with_rotor: bool = False,
         enforce_marking: bool = False,
         keep_records: bool = True,
-        backend: Optional[str] = None,
     ) -> "TreeNetwork":
         """Build a network whose initial placement is uniformly random.
 
@@ -191,7 +163,6 @@ class TreeNetwork:
             with_rotor=with_rotor,
             ledger=CostLedger(keep_records=keep_records),
             enforce_marking=enforce_marking,
-            backend=backend,
         )
 
     def _set_placement(self, placement: Sequence[ElementId]) -> None:
@@ -208,22 +179,8 @@ class TreeNetwork:
         inverse = [0] * n_nodes
         for node, element in enumerate(elements):
             inverse[element] = node
-        if self.backend == _backend.BACKEND_ARRAY:
-            # Typed-array storage: scalar serve loops index it exactly like a
-            # list, while the NumPy view over the inverse mapping shares the
-            # same buffer so the vectorised batch loops see every swap
-            # without any copying.
-            self._elem_at = array("i", elements)
-            self._node_of = array("i", inverse)
-            if _backend.HAS_NUMPY:
-                np = _backend.np
-                self._node_of_np = np.frombuffer(self._node_of, dtype=np.intc)
-            else:
-                self._node_of_np = None
-        else:
-            self._elem_at = elements
-            self._node_of = inverse
-            self._node_of_np = None
+        self._elem_at = elements
+        self._node_of = inverse
 
     def copy(self) -> "TreeNetwork":
         """Return an independent deep copy of this network.
@@ -240,7 +197,6 @@ class TreeNetwork:
             rotor=self.rotor.copy() if self.rotor is not None else None,
             ledger=self.ledger.copy(),
             enforce_marking=self.enforce_marking,
-            backend=self.backend,
         )
         clone._mark_epoch = list(self._mark_epoch)
         clone._epoch = self._epoch

@@ -58,8 +58,16 @@ def encode_frame(message: Dict[str, object]) -> bytes:
 
 
 def decode_frame_body(body: bytes) -> Dict[str, object]:
-    """Decode a frame body into a message, enforcing the envelope shape."""
-    message = json.loads(body.decode("utf-8"))
+    """Decode a frame body into a message, enforcing the envelope shape.
+
+    Any body a peer can send ends in a message or a :class:`ProtocolError`:
+    invalid UTF-8, invalid JSON and JSON nested too deeply to parse are all
+    protocol violations, never unhandled exceptions in the daemon.
+    """
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise ProtocolError(f"malformed frame body: {error}") from None
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(f"not a protocol message: {message!r}")
     return message

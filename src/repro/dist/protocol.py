@@ -47,7 +47,7 @@ from repro.dist.framing import (  # noqa: F401 - shared-framing re-exports
     recv_frame,
     send_frame,
 )
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ReproError
 from repro.network.traffic import TrafficSpec
 from repro.resilience.faults import FaultSpec
 from repro.sim.runner import (
@@ -159,13 +159,27 @@ def payload_to_dict(payload: TrialPayload) -> Dict[str, object]:
         "keep_records": payload.keep_records,
         "trial": payload.trial,
         "metadata": payload.metadata,
-        "backend": payload.backend,
         "fault": None if payload.fault is None else payload.fault.to_dict(),
     }
 
 
 def payload_from_dict(data: Dict[str, object]) -> TrialPayload:
-    """Rebuild a payload from :func:`payload_to_dict` output."""
+    """Rebuild a payload from :func:`payload_to_dict` output.
+
+    Documents from older coordinators may carry a ``backend`` key; it is
+    ignored like any other key this function does not read.  A document a
+    peer malformed (missing fields, wrong types, unknown registry names)
+    raises :class:`ProtocolError`, the error the worker daemon answers.
+    """
+    try:
+        return _payload_from_dict(data)
+    except ProtocolError:
+        raise
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError) as error:
+        raise ProtocolError(f"malformed payload document: {error!r}") from None
+
+
+def _payload_from_dict(data: Dict[str, object]) -> TrialPayload:
     if not isinstance(data, dict):
         raise ProtocolError(f"not a payload document: {data!r}")
     source_doc = data.get("source")
@@ -188,7 +202,6 @@ def payload_from_dict(data: Dict[str, object]) -> TrialPayload:
         keep_records=bool(data["keep_records"]),
         trial=int(data["trial"]),
         metadata=dict(data.get("metadata") or {}),
-        backend=data.get("backend"),
         fault=None if fault is None else FaultSpec.from_dict(fault),
     )
 

@@ -162,6 +162,10 @@ class WorkerServer:
                     logger.warning(
                         "worker %s: protocol violation (%s)", self.address, error
                     )
+                    try:
+                        send_frame(connection, {"type": "error", "error": str(error)})
+                    except OSError:
+                        pass
                 finally:
                     try:
                         connection.close()
@@ -212,11 +216,8 @@ class WorkerServer:
         connection.settimeout(_ACCEPT_POLL)
         hello = self._recv(connection)
         if hello.get("type") != "hello" or hello.get("protocol") != PROTOCOL_VERSION:
-            send_frame(
-                connection,
-                {"type": "error", "error": f"protocol mismatch: {hello!r}"},
-            )
-            raise ProtocolError(f"bad handshake from {peer}: {hello!r}")
+            # serve_forever answers every ProtocolError with an error frame
+            raise ProtocolError(f"protocol mismatch from {peer}: {hello!r}")
         send_frame(
             connection,
             {"type": "welcome", "protocol": PROTOCOL_VERSION, "pid": os.getpid()},

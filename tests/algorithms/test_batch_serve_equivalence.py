@@ -1,24 +1,31 @@
-"""Batch-vs-scalar and array-vs-python backend equivalence property tests.
+"""Vectorised-kernel vs scalar-loop equivalence property tests.
 
-The array backend (typed-array placement + vectorised ``serve_batch``) is a
-pure throughput optimisation: for every registered algorithm, every registered
-workload kind, every chunking and both record modes, it must produce exactly
-the same final placement, ledger totals and per-request cost records as the
-canonical scalar python backend.  These tests pin that contract, including the
-chunk-boundary edge cases (chunk 1, chunk larger than the stream, uneven tail)
-and the simulated NumPy-less environment (typed arrays without vectorisation,
-plus the pure-Python Zipf sampler).
+``serve_batch`` settles a chunk with a vectorised NumPy kernel when the chunk
+is long enough (:data:`repro.core.backend.BATCH_KERNEL_MIN_CHUNK`) and with
+the canonical scalar fast loop otherwise.  The kernels are a pure throughput
+optimisation: for every registered algorithm, every registered workload kind,
+every chunking and both record modes, they must produce exactly the same final
+placement, ledger totals and per-request cost records as the scalar loop.
+These tests force each side by monkeypatching the threshold and pin that
+contract, including the chunk-boundary edge cases (chunk 1, chunk larger than
+the stream, uneven tail) and the simulated NumPy-less environment (scalar
+loops only, plus the pure-Python Zipf sampler).
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.core import backend as backend_mod
 from repro.core.cost import CostLedger
-from repro.exceptions import BackendError, CostAccountingError, WorkloadError
+from repro.exceptions import CostAccountingError, WorkloadError
 from repro.workloads.spec import WorkloadSpec, build_workload
+
+#: Threshold values that force each side of the kernel choice.
+KERNEL_THRESHOLDS = {"vectorised": 1, "scalar": sys.maxsize}
 
 N_NODES = 63
 N_REQUESTS = 300
@@ -74,21 +81,26 @@ WORKLOAD_SPECS = {
 CHUNK_SIZES = (1, 7, 64, N_REQUESTS + 1)
 
 
-def serve_outcome(algorithm, kind, backend, chunk_size, keep_records):
-    """Serve the workload stream and return every observable of the run."""
+def serve_outcome(algorithm, kind, kernel, chunk_size, keep_records):
+    """Serve the workload stream on one kernel side; return every observable.
+
+    The scalar side streams list chunks (the canonical oracle); the
+    vectorised side streams the runner's transport (ndarrays with NumPy).
+    """
     workload = build_workload(WORKLOAD_SPECS[kind])
-    as_array = backend == "array" and backend_mod.HAS_NUMPY
+    as_array = kernel == "vectorised" and backend_mod.HAS_NUMPY
     instance = make_algorithm(
         algorithm,
         n_nodes=N_NODES,
         placement_seed=PLACEMENT_SEED,
         seed=ALGORITHM_SEED,
         keep_records=keep_records,
-        backend=backend,
     )
-    result = instance.run_stream(
-        workload.iter_requests(N_REQUESTS, chunk_size, as_array=as_array)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend_mod, "BATCH_KERNEL_MIN_CHUNK", KERNEL_THRESHOLDS[kernel])
+        result = instance.run_stream(
+            workload.iter_requests(N_REQUESTS, chunk_size, as_array=as_array)
+        )
     network = instance.network
     return {
         "n_requests": result.n_requests,
@@ -102,75 +114,71 @@ def serve_outcome(algorithm, kind, backend, chunk_size, keep_records):
 
 @pytest.fixture(scope="module")
 def scalar_baselines():
-    """Canonical python-backend outcome per (algorithm, kind, keep_records)."""
+    """Canonical scalar-loop outcome per (algorithm, kind, keep_records)."""
     baselines = {}
     for algorithm in available_algorithms():
         for kind in WORKLOAD_SPECS:
             for keep_records in (False, True):
                 baselines[(algorithm, kind, keep_records)] = serve_outcome(
-                    algorithm, kind, "python", N_REQUESTS, keep_records
+                    algorithm, kind, "scalar", N_REQUESTS, keep_records
                 )
     return baselines
 
 
 @pytest.mark.parametrize("kind", sorted(WORKLOAD_SPECS))
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_array_backend_matches_scalar_python(algorithm, kind, scalar_baselines):
-    """Array backend == python backend for every chunking, totals-only mode."""
+def test_vectorised_kernels_match_scalar_loop(algorithm, kind, scalar_baselines):
+    """Vectorised kernels == scalar loop for every chunking, totals-only mode."""
     expected = scalar_baselines[(algorithm, kind, False)]
     for chunk_size in CHUNK_SIZES:
-        outcome = serve_outcome(algorithm, kind, "array", chunk_size, False)
+        outcome = serve_outcome(algorithm, kind, "vectorised", chunk_size, False)
         assert outcome == expected, (algorithm, kind, chunk_size)
 
 
 @pytest.mark.parametrize("kind", ["combined-locality", "fixed-sequence"])
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_array_backend_matches_records_too(algorithm, kind, scalar_baselines):
-    """Per-request cost records are byte-identical across backends/chunkings."""
+def test_vectorised_kernels_match_records_too(algorithm, kind, scalar_baselines):
+    """Per-request cost records are byte-identical across kernels/chunkings."""
     expected = scalar_baselines[(algorithm, kind, True)]
     for chunk_size in (1, 7, N_REQUESTS + 1):
-        outcome = serve_outcome(algorithm, kind, "array", chunk_size, True)
+        outcome = serve_outcome(algorithm, kind, "vectorised", chunk_size, True)
         assert outcome == expected, (algorithm, kind, chunk_size)
 
 
 @pytest.mark.parametrize("algorithm", available_algorithms())
-def test_python_backend_chunking_is_semantics_free(algorithm, scalar_baselines):
-    """Chunk size never changes python-backend results either."""
+def test_scalar_loop_chunking_is_semantics_free(algorithm, scalar_baselines):
+    """Chunk size never changes scalar-loop results either."""
     expected = scalar_baselines[(algorithm, "combined-locality", False)]
     for chunk_size in CHUNK_SIZES:
         outcome = serve_outcome(algorithm, "combined-locality", chunk_size=chunk_size,
-                                backend="python", keep_records=False)
+                                kernel="scalar", keep_records=False)
         assert outcome == expected, (algorithm, chunk_size)
 
 
 class TestServeBatchDirect:
     """Direct serve_batch calls (outside run_stream) behave like serve()."""
 
-    def _pair(self, backend):
-        return (
-            make_algorithm(
-                "rotor-push",
-                n_nodes=N_NODES,
-                placement_seed=1,
-                keep_records=True,
-                backend=backend,
-            ),
-            make_algorithm(
-                "rotor-push",
-                n_nodes=N_NODES,
-                placement_seed=1,
-                keep_records=True,
-                backend="python",
-            ),
+    @pytest.fixture
+    def vectorised(self, monkeypatch):
+        monkeypatch.setattr(
+            backend_mod, "BATCH_KERNEL_MIN_CHUNK", KERNEL_THRESHOLDS["vectorised"]
         )
 
-    def test_empty_chunk_serves_nothing(self):
-        batched, _ = self._pair("array")
+    def _pair(self):
+        return tuple(
+            make_algorithm(
+                "rotor-push", n_nodes=N_NODES, placement_seed=1, keep_records=True
+            )
+            for _ in range(2)
+        )
+
+    def test_empty_chunk_serves_nothing(self, vectorised):
+        batched, _ = self._pair()
         assert batched.serve_batch([]) == 0
         assert batched.network.ledger.n_requests == 0
 
-    def test_batch_equals_request_by_request(self):
-        batched, scalar = self._pair("array")
+    def test_batch_equals_request_by_request(self, vectorised):
+        batched, scalar = self._pair()
         requests = [3, 3, 41, 7, 7, 7, 0, 62, 41]
         assert batched.serve_batch(requests) == len(requests)
         for element in requests:
@@ -178,12 +186,12 @@ class TestServeBatchDirect:
         assert batched.network.placement() == scalar.network.placement()
         assert batched.network.ledger.records == scalar.network.ledger.records
 
-    def test_out_of_range_element_rejects_whole_chunk(self):
+    def test_out_of_range_element_rejects_whole_chunk(self, vectorised):
         from repro.exceptions import MappingError
 
         if not backend_mod.HAS_NUMPY:
-            pytest.skip("up-front chunk validation is a vectorised-path contract")
-        batched, _ = self._pair("array")
+            pytest.skip("up-front chunk validation is a vectorised-kernel contract")
+        batched, _ = self._pair()
         before = batched.network.placement()
         with pytest.raises(MappingError):
             batched.serve_batch([1, 2, N_NODES, 3])
@@ -191,26 +199,22 @@ class TestServeBatchDirect:
         assert batched.network.ledger.n_requests == 0
         assert batched.network.placement() == before
 
-    def test_ndarray_chunk_on_python_backend(self):
+    def test_ndarray_chunk_on_scalar_loop(self):
         if not backend_mod.HAS_NUMPY:
             pytest.skip("ndarray chunks need NumPy")
         np = backend_mod.np
-        batched, scalar = self._pair("python")
+        batched, scalar = self._pair()
         requests = [5, 5, 17, 30]
+        assert len(requests) < backend_mod.BATCH_KERNEL_MIN_CHUNK
         batched.serve_batch(np.asarray(requests))
         for element in requests:
             scalar.serve(element)
         assert batched.network.ledger.records == scalar.network.ledger.records
+        assert all(type(record.element) is int for record in batched.network.ledger.records)
 
 
 class TestWithoutNumPy:
     """Simulated NumPy-less environment via the backend module flag."""
-
-    def test_auto_resolves_to_python(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        assert backend_mod.resolve_backend(None) == "python"
-        assert backend_mod.resolve_backend("auto") == "python"
-        assert backend_mod.resolve_backend("array") == "array"
 
     def test_as_array_transport_refused(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
@@ -218,10 +222,10 @@ class TestWithoutNumPy:
         with pytest.raises(WorkloadError):
             next(workload.iter_requests(10, 4, as_array=True))
 
-    def test_typed_array_backend_still_serves_correctly(self, monkeypatch):
-        expected = serve_outcome("move-to-front", "uniform", "python", 64, True)
+    def test_scalar_loop_serves_every_chunk_without_numpy(self, monkeypatch):
+        expected = serve_outcome("move-to-front", "uniform", "scalar", 64, True)
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        outcome = serve_outcome("move-to-front", "uniform", "array", 64, True)
+        outcome = serve_outcome("move-to-front", "uniform", "vectorised", 64, True)
         assert outcome == expected
 
     def test_pure_python_zipf_sampler_is_deterministic(self, monkeypatch):
@@ -235,32 +239,6 @@ class TestWithoutNumPy:
         # reseed restores the pristine sampler state (cumulative CDF + perm)
         rebuilt.reseed(5)
         assert rebuilt.generate(200) == first
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendError):
-            backend_mod.resolve_backend("fortran")
-        with pytest.raises(BackendError):
-            make_algorithm("rotor-push", n_nodes=N_NODES, backend="fortran")
-
-    def test_auto_picks_array_only_for_vectorised_algorithms(self):
-        if not backend_mod.HAS_NUMPY:
-            pytest.skip("auto resolves to python without NumPy")
-        vectorised = make_algorithm("rotor-push", n_nodes=N_NODES)
-        scalar_only = make_algorithm("max-push", n_nodes=N_NODES)
-        assert vectorised.network.backend == "array"
-        assert scalar_only.network.backend == "python"
-
-    def test_explicit_backend_is_honoured(self):
-        forced = make_algorithm("max-push", n_nodes=N_NODES, backend="array")
-        assert forced.network.backend == "array"
-
-    def test_network_copy_preserves_backend(self):
-        instance = make_algorithm("rotor-push", n_nodes=N_NODES, backend="array")
-        clone = instance.network.copy()
-        assert clone.backend == "array"
-        assert clone.placement() == instance.network.placement()
 
 
 class TestLedgerBatchAccounting:

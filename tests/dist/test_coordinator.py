@@ -17,7 +17,8 @@ import pytest
 
 from repro.algorithms.registry import AlgorithmSpec
 from repro.dist.coordinator import DistributedExecutor, run_distributed
-from repro.dist.protocol import ExecutorSpec, ProtocolError
+from repro.dist.framing import recv_frame, send_frame
+from repro.dist.protocol import PROTOCOL_VERSION, ExecutorSpec, ProtocolError
 from repro.dist.worker import WorkerServer, parse_listen_address
 from repro.exceptions import ExperimentError
 from repro.resilience import FaultSpec, ResilienceStats, RetryPolicy
@@ -232,6 +233,59 @@ class TestVerificationAndDuplicates:
         assert executor.stats.duplicate_results == 1
         assert executor.stats.remote_executed == 1
         assert result_to_dict(executor._results[0]) == result_to_dict(result)
+
+
+class TestWorkerMalformedFrames:
+    @pytest.mark.parametrize("after_handshake", [False, True])
+    @pytest.mark.parametrize(
+        "body",
+        [b"\xff\xfe\x00bad", b"{not json", b"[" * 100_000],
+        ids=["utf8", "json", "nesting"],
+    )
+    def test_malformed_body_gets_an_error_frame(self, body, after_handshake):
+        worker = WorkerServer().start()
+        try:
+            with socket.create_connection((worker.host, worker.port), timeout=10.0) as sock:
+                if after_handshake:
+                    send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                    assert recv_frame(sock)["type"] == "welcome"
+                sock.sendall(len(body).to_bytes(8, "big") + body)
+                reply = recv_frame(sock)
+                assert reply["type"] == "error"
+                assert "malformed frame body" in reply["error"]
+            _assert_worker_still_serves(worker)
+        finally:
+            worker.stop()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            {"source": {"type": "spec"}},
+            {"source": {"type": "sequence", "sequence": [1]}, "algorithm": {"name": "nope"}},
+        ],
+        ids=["missing", "partial-source", "unknown-algorithm"],
+    )
+    def test_malformed_lease_payload_gets_an_error_frame(self, payload):
+        worker = WorkerServer().start()
+        try:
+            with socket.create_connection((worker.host, worker.port), timeout=10.0) as sock:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                assert recv_frame(sock)["type"] == "welcome"
+                send_frame(sock, {"type": "lease", "lease_id": 1, "payload": payload})
+                assert recv_frame(sock)["type"] == "error"
+            _assert_worker_still_serves(worker)
+        finally:
+            worker.stop()
+
+
+def _assert_worker_still_serves(worker):
+    """A second coordinator session runs leases on the same daemon."""
+    payloads = make_payloads(2)
+    stats = ResilienceStats()
+    results = run_distributed(payloads, worker.address, retry=FAST_RETRY, stats=stats)
+    assert [result_to_dict(r) for r in results] == serial_documents(payloads)
+    assert stats.remote_executed == 2
 
 
 class TestListenAddress:

@@ -96,7 +96,6 @@ def _payload(source, **kwargs) -> TrialPayload:
         keep_records=False,
         trial=0,
         metadata={"point": 3},
-        backend="python",
     )
     fields.update(kwargs)
     return TrialPayload(**fields)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import backend as backend_mod
-from repro.exceptions import BackendError
 from repro.network import MultiSourceNetwork
 from repro.network.traffic import uniform_trace
+
+#: Threshold values that force each side of the kernel choice.
+KERNEL_THRESHOLDS = {"vectorised": 1, "scalar": sys.maxsize}
 
 N_NODES = 24
 N_SOURCES = 6
@@ -45,39 +49,23 @@ class TestServeTraceBatch:
         network = fresh_network()
         assert network.serve_trace(trace, chunk_size=chunk_size) == legacy_summary[0]
 
-    @pytest.mark.parametrize("backend", ["python", "array", "auto"])
-    def test_backends_bit_identical(self, trace, legacy_summary, backend):
-        network = fresh_network(backend=backend)
-        assert network.serve_trace(trace) == legacy_summary[0]
-
-    def test_serve_trace_backend_knob_on_pristine_network(self, trace, legacy_summary):
-        # a pristine network honours a backend override by rebuilding its
-        # trees from the seeds (bit-identical initial placements)
-        network = fresh_network(backend="python")
-        summary = network.serve_trace(trace, backend="array")
-        assert summary == legacy_summary[0]
-        assert network.backend == "array"
-
-    def test_backend_switch_after_serving_raises(self, trace):
-        network = fresh_network(backend="python")
-        network.serve(0, 3)
-        with pytest.raises(BackendError, match="cannot switch"):
-            network.serve_trace(trace, backend="array")
-
-    def test_same_backend_after_serving_is_fine(self, trace):
-        network = fresh_network(backend="python")
-        network.serve(0, 3)
-        summary = network.serve_trace(trace, backend="python")
-        assert summary["n_requests"] == len(trace) + 1
-
-    def test_unknown_backend_name_rejected(self, trace):
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1_000_000])
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_THRESHOLDS))
+    def test_kernels_bit_identical(
+        self, trace, legacy_summary, monkeypatch, kernel, chunk_size
+    ):
+        monkeypatch.setattr(
+            backend_mod, "BATCH_KERNEL_MIN_CHUNK", KERNEL_THRESHOLDS[kernel]
+        )
         network = fresh_network()
-        with pytest.raises(BackendError):
-            network.serve_trace(trace, backend="fortran")
+        assert network.serve_trace(trace, chunk_size=chunk_size) == legacy_summary[0]
+        assert network.per_source_summary() == legacy_summary[1]
 
-    def test_constructor_rejects_unknown_backend(self):
-        with pytest.raises(BackendError):
-            fresh_network(backend="fortran")
+    def test_serve_trace_after_single_serves_keeps_accounting(self, trace):
+        network = fresh_network()
+        network.serve(0, 3)
+        summary = network.serve_trace(trace)
+        assert summary["n_requests"] == len(trace) + 1
 
 
 class TestSingleSourceBatch:

@@ -15,9 +15,12 @@ The acceptance contract of the plan-native multi-source layer:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import repro
+from repro.core import backend as backend_mod
 from repro.exceptions import AlgorithmError, PlanError, WorkloadError
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.traffic import TrafficSpec
@@ -191,9 +194,10 @@ class TestExecution:
             total["mean_access_cost"] + total["mean_adjustment_cost"]
         )
 
-    @pytest.mark.parametrize("backend", ["python", "auto"])
-    def test_backend_is_a_throughput_knob_only(self, serial_table, backend):
-        table = repro.run(plan_with_overrides(small_plan(), backend=backend))
+    @pytest.mark.parametrize("threshold", [sys.maxsize, 1], ids=["scalar", "vectorised"])
+    def test_kernel_is_a_throughput_choice_only(self, serial_table, monkeypatch, threshold):
+        monkeypatch.setattr(backend_mod, "BATCH_KERNEL_MIN_CHUNK", threshold)
+        table = repro.run(small_plan())
         assert table.rows == serial_table.rows
 
     def test_chunk_size_never_changes_results(self, serial_table):

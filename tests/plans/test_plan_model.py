@@ -7,8 +7,7 @@ import warnings
 import pytest
 
 import repro
-from repro.core import backend as backend_mod
-from repro.exceptions import BackendError, ExperimentError, PlanError, WorkloadError
+from repro.exceptions import ExperimentError, PlanError, WorkloadError
 from repro.plans import (
     ExperimentPlan,
     RunConfig,
@@ -34,7 +33,7 @@ def tiny_trial_plan(**config_kwargs) -> TrialPlan:
 class TestRunConfig:
     def test_defaults_are_valid(self):
         config = RunConfig()
-        assert config.n_jobs == 1 and config.backend is None
+        assert config.n_jobs == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -52,20 +51,16 @@ class TestRunConfig:
         with pytest.raises(PlanError):
             RunConfig(**kwargs)
 
-    def test_unknown_backend_name_keeps_dedicated_error(self):
-        with pytest.raises(BackendError):
-            RunConfig(backend="fortran")
-
     def test_with_overrides_replaces_only_given_knobs(self):
-        config = RunConfig(n_requests=10, n_jobs=1, backend="python")
+        config = RunConfig(n_requests=10, n_jobs=1, chunk_size=16)
         updated = config.with_overrides(n_jobs=4)
         assert updated.n_jobs == 4
-        assert updated.backend == "python"
+        assert updated.chunk_size == 16
         assert updated.n_requests == 10
         assert config.with_overrides() is config
 
     def test_round_trip(self):
-        config = RunConfig(n_requests=7, n_trials=2, chunk_size=16, backend="python")
+        config = RunConfig(n_requests=7, n_trials=2, chunk_size=16)
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_keys_rejected(self):
@@ -178,39 +173,9 @@ class TestPlanValidation:
             plan.n_nodes = 63
 
 
-class TestBackendAvailability:
-    def test_array_without_numpy_raises_dedicated_error_before_serving(
-        self, monkeypatch
-    ):
-        """A plan pinning backend='array' must fail with BackendError up
-        front (not somewhere inside the serve loop) when NumPy is absent."""
-        plan = tiny_trial_plan(backend="array")
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        with pytest.raises(BackendError) as excinfo:
-            run_plan(plan)
-        assert "array" in str(excinfo.value)
-        assert "NumPy" in str(excinfo.value)
-
-    def test_auto_and_python_never_raise_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        for backend in (None, "python"):
-            table = run_plan(tiny_trial_plan(backend=backend))
-            assert len(table) == 1
-
-    def test_nested_experiment_plans_are_checked(self, monkeypatch):
-        nested = ExperimentPlan.create(
-            name="outer",
-            stages=(("inner", tiny_trial_plan(backend="array")),),
-            assembler="tables",
-        )
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        with pytest.raises(BackendError):
-            run_plan(nested)
-
-
 class TestOverrides:
     def test_overrides_recurse_through_experiment_plans(self):
-        inner = tiny_trial_plan(backend="python")
+        inner = tiny_trial_plan(chunk_size=16)
         assembler_only = ExperimentPlan.create(
             name="hist",
             assembler="q4_histogram",
@@ -225,12 +190,13 @@ class TestOverrides:
         overridden = plan_with_overrides(outer, n_jobs=4, backend="array")
         stage_a = dict(overridden.stages)["a"]
         stage_b = dict(overridden.stages)["b"]
-        assert stage_a.config.n_jobs == 4 and stage_a.config.backend == "array"
-        assert stage_b.config.n_jobs == 4 and stage_b.config.backend == "array"
+        assert stage_a.config.n_jobs == 4 and stage_b.config.n_jobs == 4
         # untouched knobs keep the plan's values
         assert stage_a.config.n_requests == 50
-        # no overrides -> identity
+        assert stage_a.config.chunk_size == 16
+        # no overrides -> identity; the legacy backend knob is no override
         assert plan_with_overrides(outer) is outer
+        assert plan_with_overrides(outer, backend="python") is outer
 
 
 class TestDeprecations:
@@ -246,7 +212,7 @@ class TestDeprecations:
                 n_nodes=31,
                 n_requests=20,
                 n_trials=1,
-                backend="python",
+                n_jobs=1,
             )
 
     def test_config_path_does_not_warn(self):

@@ -3,7 +3,7 @@
 The checkpoint store's contract: entries round-trip results exactly, a
 corrupted/truncated/alien entry is a logged *miss* (never a crash), and the
 content keys hash exactly the result-determining payload fields — throughput
-knobs (``backend``, ``chunk_size``, ``n_jobs``) never split the cache.
+knobs (``chunk_size``, ``n_jobs``) never split the cache.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ class TestPayloadKey:
     def test_key_ignores_throughput_knobs(self):
         base = runner_payloads()
         for variant in (
-            runner_payloads(backend="python"),
             runner_payloads(chunk_size=7),
             runner_payloads(n_jobs=4),
             runner_payloads(max_retries=9, cache_dir="elsewhere"),

@@ -4,12 +4,14 @@ The PR's acceptance pin.  A live server is driven by genuinely concurrent
 clients, then the recorded ingest log is rebuilt into a plan and replayed —
 and the replayed per-source cost table must equal the live one *exactly*
 (integer totals, row for row, and byte-for-byte as rendered text), across
-``n_jobs`` 1 and 4 and across backends.  Damage handling rides along: a torn
-tail replays the surviving prefix with a report, mid-log corruption refuses
-unless salvage is requested.
+``n_jobs`` 1 and 4 and across batch kernels.  Damage handling rides along: a
+torn tail replays the surviving prefix with a report, mid-log corruption
+refuses unless salvage is requested.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -127,14 +129,16 @@ class TestReplayIdentity:
         assert replayed.rows == live.rows
         assert replayed.format_text() == live.format_text()
 
-    def test_backends_agree_with_live(self, live_session):
+    def test_kernels_agree_with_live(self, live_session, monkeypatch):
         plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))
         live = live_session["live_table"]
-        python_rows = repro.run(plan_with_overrides(plan, backend="python")).rows
-        assert python_rows == live.rows
+        monkeypatch.setattr(backend_mod, "BATCH_KERNEL_MIN_CHUNK", sys.maxsize)
+        scalar_rows = repro.run(plan).rows
+        assert scalar_rows == live.rows
         if backend_mod.HAS_NUMPY:
-            array_rows = repro.run(plan_with_overrides(plan, backend="array")).rows
-            assert array_rows == live.rows
+            monkeypatch.setattr(backend_mod, "BATCH_KERNEL_MIN_CHUNK", 1)
+            vectorised_rows = repro.run(plan).rows
+            assert vectorised_rows == live.rows
 
     def test_client_reply_totals_equal_replayed_rows(self, live_session):
         plan = build_replay_plan(read_ingest_log(live_session["log_dir"]))

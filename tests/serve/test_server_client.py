@@ -56,6 +56,32 @@ class TestHandshake:
             sock.close()
 
 
+#: Frame bodies no peer may crash the daemon with: invalid UTF-8, invalid
+#: JSON and JSON nested past the parser's recursion limit.
+MALFORMED_BODIES = [b"\xff\xfe\x00bad", b"{not json", b"[" * 100_000]
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("after_handshake", [False, True])
+    @pytest.mark.parametrize("body", MALFORMED_BODIES, ids=["utf8", "json", "nesting"])
+    def test_malformed_body_gets_an_error_frame(self, server, body, after_handshake):
+        if after_handshake:
+            sock = raw_connection(server)
+        else:
+            sock = socket.create_connection((server.host, server.port), timeout=10.0)
+        try:
+            sock.sendall(len(body).to_bytes(8, "big") + body)
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert "malformed frame body" in reply["error"]
+        finally:
+            sock.close()
+        # the daemon keeps serving: a second session completes a request
+        with ServeClient(server.address) as client:
+            client.open("after-malformed")
+            assert client.request(5)["type"] == "reply"
+
+
 class TestSessions:
     def test_request_reply_carries_costs_and_depth(self, server):
         with ServeClient(server.address) as client:

@@ -1,17 +1,22 @@
-"""Backend knob across the runner/sweep/pool plumbing.
+"""Batch kernels across the runner/sweep/pool plumbing.
 
-The ``backend`` choice travels inside every :class:`TrialPayload` and is
-resolved in the worker, so a parallel run on the array backend must be
-bit-identical to a serial run on the python backend — the backend is a pure
-throughput knob at every fan-out width.
+Workers choose the serve kernel per chunk, so a parallel run on the
+vectorised kernels must be bit-identical to a serial run on the scalar loop —
+the kernel choice is a pure throughput decision at every fan-out width.  Each
+side is forced by monkeypatching the threshold; the persistent pool is
+re-forked around the patch so its workers inherit the forced side.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import pytest
 
 from repro.core import backend as backend_mod
-from repro.sim.runner import TrialRunner, compare_algorithms
+from repro.sim.parallel import shutdown_persistent_pool
+from repro.sim.runner import compare_algorithms
 from repro.sim.sweep import ParameterSweep
 from repro.workloads.composite import CombinedLocalityWorkload
 
@@ -20,22 +25,39 @@ N_NODES = 63
 N_REQUESTS = 400
 N_TRIALS = 2
 
+#: Threshold values that force each side of the kernel choice.
+KERNEL_THRESHOLDS = {"vectorised": 1, "scalar": sys.maxsize}
+
 
 def factory(seed: int) -> CombinedLocalityWorkload:
     return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
 
 
-def aggregates(backend, n_jobs, chunk_size=None):
-    outcome = compare_algorithms(
-        ALGORITHMS,
-        factory,
-        n_nodes=N_NODES,
-        n_requests=N_REQUESTS,
-        n_trials=N_TRIALS,
-        n_jobs=n_jobs,
-        chunk_size=chunk_size,
-        backend=backend,
-    )
+@contextlib.contextmanager
+def kernel_side(kernel):
+    """Force ``kernel`` in this process and in freshly forked pool workers."""
+    shutdown_persistent_pool()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                backend_mod, "BATCH_KERNEL_MIN_CHUNK", KERNEL_THRESHOLDS[kernel]
+            )
+            yield
+    finally:
+        shutdown_persistent_pool()
+
+
+def aggregates(kernel, n_jobs, chunk_size=None):
+    with kernel_side(kernel):
+        outcome = compare_algorithms(
+            ALGORITHMS,
+            factory,
+            n_nodes=N_NODES,
+            n_requests=N_REQUESTS,
+            n_trials=N_TRIALS,
+            n_jobs=n_jobs,
+            chunk_size=chunk_size,
+        )
     return {
         name: (
             outcome[name].access_cost,
@@ -46,50 +68,34 @@ def aggregates(backend, n_jobs, chunk_size=None):
     }
 
 
-class TestBackendAcrossJobs:
-    def test_backends_and_job_counts_are_bit_identical(self):
-        reference = aggregates("python", n_jobs=1)
-        for backend in ("python", "array", None):
+class TestKernelsAcrossJobs:
+    def test_kernels_and_job_counts_are_bit_identical(self):
+        reference = aggregates("scalar", n_jobs=1)
+        for kernel in ("scalar", "vectorised"):
             for n_jobs in (1, 4):
-                assert aggregates(backend, n_jobs) == reference, (backend, n_jobs)
+                assert aggregates(kernel, n_jobs) == reference, (kernel, n_jobs)
 
-    def test_chunk_size_and_backend_compose(self):
-        reference = aggregates("python", n_jobs=1)
-        assert aggregates("array", n_jobs=4, chunk_size=37) == reference
+    def test_chunk_size_and_kernels_compose(self):
+        reference = aggregates("scalar", n_jobs=1)
+        assert aggregates("vectorised", n_jobs=4, chunk_size=37) == reference
 
-    def test_payloads_carry_the_backend(self):
-        runner = TrialRunner(
-            n_nodes=N_NODES,
-            n_requests=N_REQUESTS,
-            n_trials=N_TRIALS,
-            backend="array",
-        )
-        sources = runner.trial_sources(factory)
-        payloads = runner.build_payloads(ALGORITHMS, sources)
-        assert all(payload.backend == "array" for payload in payloads)
-
-    def test_runner_rejects_unknown_backend_eagerly(self):
-        from repro.exceptions import BackendError
-
-        with pytest.raises(BackendError):
-            TrialRunner(
-                n_nodes=N_NODES, n_requests=10, n_trials=1, backend="fortran"
-            )
-
-    def test_worker_passes_auto_through_unresolved(self, monkeypatch):
-        """A None backend must reach make_algorithm unresolved so its
-        per-algorithm auto-detection (python for max-push, array for
-        rotor-push) still applies inside pool workers."""
+    @pytest.mark.parametrize("has_numpy", [True, False])
+    def test_worker_streams_ndarrays_iff_numpy(self, monkeypatch, has_numpy):
+        """Spec sources reach the serve loop as ndarrays exactly when NumPy
+        is importable, whatever the algorithm."""
+        if has_numpy and not backend_mod.HAS_NUMPY:
+            pytest.skip("needs NumPy")
         import repro.sim.runner as runner_mod
         from repro.sim.runner import SpecSource, TrialPayload, _execute_trial
         from repro.workloads.spec import WorkloadSpec
 
+        monkeypatch.setattr(backend_mod, "HAS_NUMPY", has_numpy)
         seen = {}
         original = runner_mod.simulate_stream
 
         def spy(name, chunks, **kwargs):
-            # payloads now carry AlgorithmSpec objects; key by registry name
-            seen[getattr(name, "name", name)] = kwargs.get("backend")
+            chunks = list(chunks)
+            seen[getattr(name, "name", name)] = {type(chunk).__name__ for chunk in chunks}
             return original(name, chunks, **kwargs)
 
         monkeypatch.setattr(runner_mod, "simulate_stream", spy)
@@ -106,47 +112,49 @@ class TestBackendAcrossJobs:
                     trial=0,
                 )
             )
-        assert seen == {"max-push": None, "rotor-push": None}
+        transport = {"ndarray"} if has_numpy else {"list"}
+        assert seen == {"max-push": transport, "rotor-push": transport}
 
 
-class TestSweepBackend:
-    def test_sweep_results_identical_across_backends(self):
-        def sweep_table(backend, n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.2}, {"p": 0.8}],
-                workload_factory=lambda point, seed: CombinedLocalityWorkload(
-                    N_NODES, 1.4, float(point["p"]), seed=seed
-                ),
-                algorithms=["rotor-push", "move-to-front"],
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=N_TRIALS,
-                n_jobs=n_jobs,
-                backend=backend,
-            )
-            return sweep.run().rows
+class TestSweepKernels:
+    def test_sweep_results_identical_across_kernels(self):
+        def sweep_table(kernel, n_jobs):
+            with kernel_side(kernel):
+                sweep = ParameterSweep(
+                    points=[{"p": 0.2}, {"p": 0.8}],
+                    workload_factory=lambda point, seed: CombinedLocalityWorkload(
+                        N_NODES, 1.4, float(point["p"]), seed=seed
+                    ),
+                    algorithms=["rotor-push", "move-to-front"],
+                    n_nodes=N_NODES,
+                    n_requests=N_REQUESTS,
+                    n_trials=N_TRIALS,
+                    n_jobs=n_jobs,
+                )
+                return sweep.run().rows
 
-        # sweeps flatten to the same payload list; only the backend differs
-        reference = sweep_table("python", 1)
-        assert sweep_table("array", 1) == reference
-        assert sweep_table("array", 4) == reference
+        # sweeps flatten to the same payload list; only the kernel differs
+        reference = sweep_table("scalar", 1)
+        assert sweep_table("vectorised", 1) == reference
+        assert sweep_table("vectorised", 4) == reference
 
 
 class TestSharedSourceMemo:
-    def test_shared_chunks_memo_keys_on_transport(self):
-        """List-chunk and array-chunk variants of one source must not collide."""
-        if not backend_mod.HAS_NUMPY:
+    @pytest.mark.parametrize("has_numpy", [True, False])
+    def test_shared_chunks_memo_uses_the_numpy_transport(self, monkeypatch, has_numpy):
+        """A shared source is generated once and streamed in the transport
+        the environment supports."""
+        if has_numpy and not backend_mod.HAS_NUMPY:
             pytest.skip("array transport needs NumPy")
         from repro.sim.runner import SpecSource, _chunks_of, _shared_chunks_cache
 
+        monkeypatch.setattr(backend_mod, "HAS_NUMPY", has_numpy)
         spec = factory(3).to_spec()
         source = SpecSource(spec, 50, 16, shared=True)
         try:
-            as_lists = _chunks_of(source, as_array=False)
-            as_arrays = _chunks_of(source, as_array=True)
-            assert all(isinstance(chunk, list) for chunk in as_lists)
-            assert all(
-                isinstance(chunk, backend_mod.np.ndarray) for chunk in as_arrays
-            )
+            chunks = _chunks_of(source)
+            assert _chunks_of(source) is chunks
+            expected = backend_mod.np.ndarray if has_numpy else list
+            assert all(isinstance(chunk, expected) for chunk in chunks)
         finally:
             _shared_chunks_cache.clear()

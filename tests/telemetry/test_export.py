@@ -87,7 +87,9 @@ class TestHTTPServer:
     def test_unknown_path_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self.get(endpoint, "/nope")
-        assert excinfo.value.code == 404
+        # the error owns the HTTP response, and with it the client socket
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_bad_bind_is_loud(self, registry):
         with pytest.raises(ExperimentError):
