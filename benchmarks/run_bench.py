@@ -13,9 +13,9 @@ against its predecessors on the same hardware.  The measured layers:
 * **kernel equivalence** — a guard that both kernels produce identical
   totals and placements for every algorithm at every benchmarked chunk size
   before any throughput number is trusted; and
-* **parallel trial scaling** — wall-clock of ``compare_algorithms`` at
-  ``n_jobs=1`` versus ``n_jobs=<cpus>``, together with a determinism check
-  that both produce identical aggregates; and
+* **parallel trial scaling** — wall-clock of a :class:`repro.plans.TrialPlan`
+  run at ``n_jobs=1`` versus ``n_jobs=<cpus>``, together with a determinism
+  check that both produce identical per-trial results; and
 * **fan-out payloads** — build time, pickled size and parallel dispatch
   wall-clock of materialised-sequence payloads versus spec-shipped streaming
   payloads for the same trial grid, with a determinism cross-check; and
@@ -60,17 +60,23 @@ import time
 from pathlib import Path
 
 import pickle
+from dataclasses import replace
 
 from repro.algorithms.registry import make_algorithm
 from repro.core import backend as kernel_mod
 from repro.experiments import build_corpus_pipeline_plan
 from repro.network.traffic import TrafficSpec
-from repro.plans import NetworkPlan, RunConfig, load_golden_plan, plan_with_overrides
-from repro.plans.execute import build_network_payloads, last_run_stats, run as run_plan
+from repro.plans import NetworkPlan, RunConfig, TrialPlan, load_golden_plan, plan_with_overrides
+from repro.plans.execute import (
+    build_network_payloads,
+    build_trial_payloads,
+    last_run_stats,
+    run as run_plan,
+)
 from repro.resilience import ResultStore
-from repro.sim.runner import TrialRunner, compare_algorithms, execute_payloads
+from repro.sim.runner import SequenceSource, execute_payloads
 from repro.workloads.composite import CombinedLocalityWorkload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec, build_workload
 
 #: Steady-state whole-run serve cost (microseconds/request, best of 3) of the
 #: seed revision (commit 00cf76e) on the reference container, measured with
@@ -243,35 +249,43 @@ def bench_kernel_equivalence(n_nodes: int, n_requests: int) -> dict:
     return {"identical": identical, "chunk_sizes": list(SERVE_CHUNK_SIZES)}
 
 
+def combined_trial_plan(
+    n_nodes: int, algorithms, n_requests: int, n_trials: int, **config
+) -> TrialPlan:
+    """The fan-out benches' trial grid: combined locality (a=1.4, p=0.5)."""
+    return TrialPlan(
+        n_nodes=n_nodes,
+        workload=WorkloadSpec.create(
+            "combined-locality",
+            n_elements=n_nodes,
+            zipf_exponent=1.4,
+            repeat_probability=0.5,
+        ),
+        algorithms=tuple(algorithms),
+        config=RunConfig(n_requests=n_requests, n_trials=n_trials, **config),
+    )
+
+
 def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
-    """Wall-clock of compare_algorithms at n_jobs=1 vs n_jobs=<cpus> + determinism."""
+    """Wall-clock of a trial plan at n_jobs=1 vs n_jobs=<cpus> + determinism.
+
+    Each run builds the plan's payloads and fans them out in one pass, as
+    ``repro.run`` does; the determinism check compares every trial's result
+    (per-trial totals and means), not just the per-algorithm means.
+    """
     algorithms = ["rotor-push", "random-push", "move-half", "max-push"]
 
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
-
     def timed(n_jobs: int):
+        plan = combined_trial_plan(n_nodes, algorithms, n_requests, n_trials, n_jobs=n_jobs)
         start = time.perf_counter()
-        aggregated = compare_algorithms(
-            algorithms,
-            factory,
-            n_nodes=n_nodes,
-            config=RunConfig(
-                n_requests=n_requests, n_trials=n_trials, n_jobs=n_jobs
-            ),
-        )
-        return time.perf_counter() - start, aggregated
+        results = execute_payloads(build_trial_payloads(plan), n_jobs)
+        return time.perf_counter() - start, [result.to_dict() for result in results]
 
     cpus = os.cpu_count() or 1
     serial_seconds, serial = timed(1)
     parallel_jobs = max(2, cpus)
     parallel_seconds, parallel = timed(parallel_jobs)
-    identical = all(
-        serial[name].access_cost == parallel[name].access_cost
-        and serial[name].adjustment_cost == parallel[name].adjustment_cost
-        and serial[name].total_cost == parallel[name].total_cost
-        for name in algorithms
-    )
+    identical = serial == parallel
     return {
         "cpus": cpus,
         "n_trials": n_trials,
@@ -285,26 +299,28 @@ def bench_parallel(n_nodes: int, n_requests: int, n_trials: int) -> dict:
 
 def bench_fanout(n_nodes: int, n_requests: int, n_trials: int, n_jobs: int) -> dict:
     """Payload build + dispatch cost: materialised sequences vs shipped specs."""
-    algorithms = ["rotor-push", "static-oblivious"]
-
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
-
-    runner = TrialRunner(
-        n_nodes=n_nodes, n_requests=n_requests, n_trials=n_trials, base_seed=1
+    plan = combined_trial_plan(
+        n_nodes, ["rotor-push", "static-oblivious"], n_requests, n_trials, base_seed=1
     )
 
     start = time.perf_counter()
-    sequences = runner.trial_sequences(factory)
-    materialised = runner.build_payloads(algorithms, sequences)
-    materialised_build = time.perf_counter() - start
-    materialised_bytes = len(pickle.dumps(materialised))
-
-    start = time.perf_counter()
-    sources = runner.trial_sources(factory)
-    spec_payloads = runner.build_payloads(algorithms, sources)
+    spec_payloads = build_trial_payloads(plan)
     spec_build = time.perf_counter() - start
     spec_bytes = len(pickle.dumps(spec_payloads))
+
+    # the same payloads with every trial's stream generated in the parent
+    start = time.perf_counter()
+    sequences: dict = {}
+    materialised = []
+    for payload in spec_payloads:
+        spec = payload.source.spec
+        if spec not in sequences:
+            sequences[spec] = SequenceSource(
+                tuple(build_workload(spec).generate(n_requests))
+            )
+        materialised.append(replace(payload, source=sequences[spec]))
+    materialised_build = spec_build + time.perf_counter() - start
+    materialised_bytes = len(pickle.dumps(materialised))
 
     start = time.perf_counter()
     materialised_results = execute_payloads(materialised, n_jobs)
@@ -561,15 +577,11 @@ def bench_telemetry(n_nodes: int, n_requests: int, n_trials: int, repeats: int) 
     """
     from repro.telemetry.registry import MetricsRegistry, NullRegistry, use_registry
 
-    algorithms = ["rotor-push", "static-oblivious"]
-
-    def factory(seed: int) -> CombinedLocalityWorkload:
-        return CombinedLocalityWorkload(n_nodes, 1.4, 0.5, seed=seed)
-
-    runner = TrialRunner(
-        n_nodes=n_nodes, n_requests=n_requests, n_trials=n_trials, base_seed=1
+    payloads = build_trial_payloads(
+        combined_trial_plan(
+            n_nodes, ["rotor-push", "static-oblivious"], n_requests, n_trials, base_seed=1
+        )
     )
-    payloads = runner.build_payloads(algorithms, runner.trial_sources(factory))
 
     best = {"instrumented": float("inf"), "floor": float("inf")}
     documents: dict = {}

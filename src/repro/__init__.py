@@ -13,7 +13,7 @@ Salem, Sama, Schmid and Schmidt.  The library provides:
   (:mod:`repro.analysis`);
 * workload generators with controlled temporal / spatial locality, adversarial
   constructions and a corpus pipeline (:mod:`repro.workloads`);
-* a simulation engine with multi-trial runners and parameter sweeps
+* a simulation engine with seeded trial payloads and a parallel fan-out
   (:mod:`repro.sim`);
 * a reconfigurable-datacenter substrate composing per-source trees into a
   bounded-degree multi-source network (:mod:`repro.network`);
@@ -86,7 +86,7 @@ from repro.network import (
     TrafficSpec,
     TrafficTrace,
 )
-from repro.sim import ResultTable, TrialRunner, compare_algorithms, simulate
+from repro.sim import ResultTable, simulate
 from repro.workloads import (
     CombinedLocalityWorkload,
     CorpusWorkload,
@@ -144,13 +144,11 @@ __all__ = [
     "TrafficTrace",
     "TreeNetwork",
     "TrialPlan",
-    "TrialRunner",
     "UniformWorkload",
     "WorkloadSpec",
     "ZipfWorkload",
     "__version__",
     "available_algorithms",
-    "compare_algorithms",
     "empirical_competitive_ratio",
     "empirical_entropy",
     "make_algorithm",

@@ -15,25 +15,25 @@ Three theory results demonstrated empirically (formerly the imperative
 The plan is assembler-only: adaptive adversaries are closed-loop (each
 request depends on the algorithm's current state), so they cannot be a
 workload spec — instead the construction itself is registry-validated data
-(:class:`repro.workloads.AdversarySpec`) and the ``adversarial`` assembler
-ships it to the workers as :class:`repro.sim.runner.AdversarySource`
-payloads.  Every (construction, depth) cell is one payload, so ``--jobs``
-fans the whole analysis out and ``cache_dir`` checkpoints it like any other
-plan.
+(:class:`repro.workloads.AdversarySpec`), and the ``adversarial`` assembler's
+payload builder ships it to the workers as
+:class:`repro.sim.runner.AdversarySource` payloads.  Every (construction,
+depth) cell is one payload, so ``--jobs`` fans the whole analysis out and
+``cache_dir`` checkpoints it like any other plan.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.algorithms.base import RunResult
 from repro.analysis.potential import PotentialTracker
 from repro.analysis.working_set import max_working_set_violation
 from repro.exceptions import PlanError
 from repro.plans import ExperimentPlan, RunConfig
 from repro.plans.execute import StageResult, register_assembler, run as run_plan
-from repro.resilience.retry import RetryPolicy
 from repro.sim.results import ResultTable
-from repro.sim.runner import AdversarySource, TrialPayload, execute_payloads
+from repro.sim.runner import AdversarySource, TrialPayload
 from repro.workloads import UniformWorkload
 from repro.workloads.adversarial import AdversarySpec
 
@@ -153,22 +153,15 @@ def _theorem7_table(depth: int, n_requests: int, seed: int) -> ResultTable:
     return table
 
 
-@register_assembler("adversarial")
-def _assemble_adversarial(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Dict[str, ResultTable]:
-    """Run all three adversarial constructions and return their tables."""
-    if stages:
+def _adversarial_payloads(plan: ExperimentPlan) -> List[TrialPayload]:
+    """Build one payload per (construction, depth) cell: Lemma 8, then MTF."""
+    if plan.stages:
         raise PlanError("assembler 'adversarial' is assembler-only")
     if plan.config is None:
         raise PlanError("assembler 'adversarial' needs the plan's config")
     params = plan.param_dict()
-    config = plan.config
-    lemma8_depths = [int(depth) for depth in params["lemma8_depths"]]
-    mtf_depths = [int(depth) for depth in params["mtf_depths"]]
-
     payloads: List[TrialPayload] = []
-    for index, depth in enumerate(lemma8_depths):
+    for index, depth in enumerate(int(depth) for depth in params["lemma8_depths"]):
         # Lemma 8 needs the per-request records (max costs + violation ratio).
         payloads.append(
             TrialPayload(
@@ -185,7 +178,7 @@ def _assemble_adversarial(
                 metadata={"scenario": "lemma8", "depth": depth},
             )
         )
-    for index, depth in enumerate(mtf_depths):
+    for index, depth in enumerate(int(depth) for depth in params["mtf_depths"]):
         payloads.append(
             TrialPayload(
                 algorithm="move-to-front",
@@ -201,13 +194,20 @@ def _assemble_adversarial(
                 metadata={"scenario": "mtf_lower_bound", "depth": depth},
             )
         )
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-    )
+    return payloads
+
+
+@register_assembler("adversarial", payloads=_adversarial_payloads)
+def _assemble_adversarial(
+    plan: ExperimentPlan,
+    stages: List[StageResult],
+    payloads: List[TrialPayload],
+    results: List[RunResult],
+) -> Dict[str, ResultTable]:
+    """Fold the construction results; check Theorem 7 parent-side."""
+    params = plan.param_dict()
+    lemma8_depths = [int(depth) for depth in params["lemma8_depths"]]
+    mtf_depths = [int(depth) for depth in params["mtf_depths"]]
     n_lemma8 = len(lemma8_depths)
     return {
         "lemma8": _lemma8_table(lemma8_depths, results[:n_lemma8]),

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.algorithms.base import RunResult
 from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import locality_summary
 from repro.exceptions import PlanError
 from repro.plans import ExperimentPlan, RunConfig
 from repro.plans.execute import StageResult, register_assembler, run as run_plan
-from repro.resilience.retry import RetryPolicy
 from repro.sim.results import ResultTable
-from repro.sim.runner import SpecSource, TrialPayload, execute_payloads
+from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.corpus import synthetic_corpus_specs
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
@@ -122,26 +122,19 @@ def _complexity_table(workloads) -> ResultTable:
     return table
 
 
-@register_assembler("corpus_pipeline")
-def _assemble_corpus_pipeline(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Dict[str, ResultTable]:
-    """Run the pipeline: complexity map parent-side, cost runs fanned out."""
-    if stages:
+def _corpus_pipeline_payloads(plan: ExperimentPlan) -> List[TrialPayload]:
+    """Build one payload per (dataset, algorithm), dataset-major."""
+    if plan.stages:
         raise PlanError("assembler 'corpus_pipeline' is assembler-only")
     if plan.config is None:
         raise PlanError("assembler 'corpus_pipeline' needs the plan's config")
     params = plan.param_dict()
     config = plan.config
     specs = _corpus_specs(params)
-    workloads = [spec.build() for spec in specs]
-    algorithms = [str(name) for name in params["algorithms"]]
-
-    map_table = _complexity_table(workloads)
-
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
-    for index, (spec, workload) in enumerate(zip(specs, workloads)):
+    for index, spec in enumerate(specs):
+        workload = spec.build()
         # One shared recipe spec per dataset: workers rebuild the corpus from
         # a few integers (or a file path) instead of unpickling the trace.
         # SequenceWorkload streaming stops at the trace length, so
@@ -152,10 +145,10 @@ def _assemble_corpus_pipeline(
             chunk_size=chunk,
             shared=True,
         )
-        for algorithm in algorithms:
+        for algorithm in params["algorithms"]:
             payloads.append(
                 TrialPayload(
-                    algorithm=algorithm,
+                    algorithm=str(algorithm),
                     source=source,
                     n_nodes=workload.n_elements,
                     placement_seed=config.base_seed,
@@ -165,13 +158,19 @@ def _assemble_corpus_pipeline(
                     metadata={"dataset": workload.title},
                 )
             )
-    results = execute_payloads(
-        payloads,
-        config.n_jobs,
-        worker_timeout=config.worker_timeout,
-        retry=RetryPolicy.for_config(config),
-        cache_dir=config.cache_dir,
-    )
+    return payloads
+
+
+@register_assembler("corpus_pipeline", payloads=_corpus_pipeline_payloads)
+def _assemble_corpus_pipeline(
+    plan: ExperimentPlan,
+    stages: List[StageResult],
+    payloads: List[TrialPayload],
+    results: List[RunResult],
+) -> Dict[str, ResultTable]:
+    """Fold the cost runs; compute the complexity map parent-side."""
+    # payload ``trial`` is the dataset index: one corpus build per dataset
+    specs = {payload.trial: payload.source.spec for payload in payloads}
     cost_table = ResultTable(
         name="corpus_costs",
         columns=["dataset", "algorithm", "access", "adjustment", "total"],
@@ -184,7 +183,10 @@ def _assemble_corpus_pipeline(
             adjustment=result.average_adjustment_cost,
             total=result.average_total_cost,
         )
-    return {"complexity_map": map_table, "corpus_costs": cost_table}
+    return {
+        "complexity_map": _complexity_table(spec.build() for spec in specs.values()),
+        "corpus_costs": cost_table,
+    }
 
 
 def run_corpus_pipeline(

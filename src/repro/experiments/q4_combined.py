@@ -17,15 +17,16 @@ table the ``q4_wireframe`` assembler reshapes into the difference table.  The
 histogram's payload structure is bespoke (paired Rotor/Random payloads
 serving the *same* uniform stream from the *same* initial placement, with
 their own seed derivation), so it ships as an assembler-only
-:class:`repro.plans.ExperimentPlan` whose ``q4_histogram`` assembler builds
-those payloads from the plan's config — through the same
-:func:`repro.sim.runner.execute_payloads` machinery as always.
+:class:`repro.plans.ExperimentPlan`: the ``q4_histogram`` assembler is
+registered with a payload builder that derives those payloads from the
+plan's config, and the plan compiler fans them out with every other stage.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.algorithms.base import RunResult
 from repro.algorithms.registry import RotorPush, RandomPush, StaticOblivious
 from repro.exceptions import PlanError
 from repro.experiments.config import get_scale
@@ -33,7 +34,7 @@ from repro.plans import ExperimentPlan, SweepPlan
 from repro.plans.execute import StageResult, register_assembler, run as run_plan
 from repro.sim.metrics import Histogram, histogram_of_differences, per_request_cost_difference
 from repro.sim.results import ResultTable
-from repro.sim.runner import SpecSource, TrialPayload, execute_payloads
+from repro.sim.runner import SpecSource, TrialPayload
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec
 
 __all__ = [
@@ -176,12 +177,14 @@ def build_q4_histogram_plan(
     )
 
 
-@register_assembler("q4_histogram")
-def _assemble_q4_histogram(
-    plan: ExperimentPlan, stages: List[StageResult]
-) -> Tuple[Histogram, Dict[str, float]]:
-    """Build, execute and fold the paired Rotor/Random payloads of Figure 5b."""
-    if stages:
+def _q4_histogram_payloads(plan: ExperimentPlan) -> List[TrialPayload]:
+    """Build the paired Rotor/Random payloads of Figure 5b.
+
+    Pair ``i`` serves one uniform stream (seed ``base_seed + i``) from one
+    initial placement (``base_seed + 500 + i``); Random-Push draws from
+    ``base_seed + 900 + i``.
+    """
+    if plan.stages:
         raise PlanError("assembler 'q4_histogram' is assembler-only (no stages)")
     if plan.config is None:
         raise PlanError("assembler 'q4_histogram' needs the plan's config")
@@ -191,12 +194,11 @@ def _assemble_q4_histogram(
     n_sequences = params.get("n_sequences")
     if n_sequences is None:
         n_sequences = max(2, config.n_trials)
-    n_sequences = int(n_sequences)
     rotor, random_push = str(params["rotor"]), str(params["random"])
     base_seed = config.base_seed
     chunk = DEFAULT_CHUNK_SIZE if config.chunk_size is None else config.chunk_size
     payloads: List[TrialPayload] = []
-    for index in range(n_sequences):
+    for index in range(int(n_sequences)):
         spec = WorkloadSpec.create(
             "uniform", seed=base_seed + index, n_elements=n_nodes
         )
@@ -226,7 +228,17 @@ def _assemble_q4_histogram(
                 trial=index,
             )
         )
-    results = execute_payloads(payloads, config.n_jobs)
+    return payloads
+
+
+@register_assembler("q4_histogram", payloads=_q4_histogram_payloads)
+def _assemble_q4_histogram(
+    plan: ExperimentPlan,
+    stages: List[StageResult],
+    payloads: List[TrialPayload],
+    results: List[RunResult],
+) -> Tuple[Histogram, Dict[str, float]]:
+    """Fold the paired Rotor/Random results into the Figure 5b histogram."""
     differences: List[int] = []
     for pair_start in range(0, len(results), 2):
         rotor_result = results[pair_start]
@@ -239,7 +251,7 @@ def _assemble_q4_histogram(
         "mean_difference": histogram.mean(),
         "max_abs_difference": float(max((abs(v) for v in histogram.support()), default=0)),
         "n_samples": float(histogram.total),
-        "n_sequences": float(n_sequences),
+        "n_sequences": float(len(payloads) // 2),
     }
     return histogram, summary
 

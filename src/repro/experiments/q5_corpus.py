@@ -10,18 +10,18 @@ Reproduces Figures 6 and 7 on the five-book corpus:
 * **Figure 7** - per-book performance of all six algorithms (average access and
   adjustment cost per request).
 
-Because the Canterbury corpus is not available offline, the default corpus is
-the deterministic synthetic five-book corpus
-(:mod:`repro.workloads.synthetic_text`); pass explicit
-:class:`repro.workloads.corpus.CorpusWorkload` objects (e.g. built from real
-files) to reproduce the original datasets exactly.
+Because the Canterbury corpus is not available offline, the corpus is the
+deterministic synthetic five-book corpus
+(:mod:`repro.workloads.synthetic_text`).  Real text files run through the
+corpus pipeline (:mod:`repro.experiments.corpus_pipeline`, whose plans take
+file paths); :func:`run_q5_complexity_map` also maps explicitly passed
+:class:`repro.workloads.corpus.CorpusWorkload` objects.
 
-The default (synthetic-corpus) experiments are declarative plans: the corpus
-is itself deterministic data derived from ``(n_books, corpus_scale)``, so the
-plans are assembler-only :class:`repro.plans.ExperimentPlan` objects carrying
-those parameters — corpus *traces* are data, not specs, and are rebuilt
-inside the assemblers.  Explicitly passed workloads keep the imperative path
-(they cannot be described by a plan document).
+Both figures are declarative plans: the corpus is itself deterministic data
+derived from ``(n_books, corpus_scale)``, so the plans are assembler-only
+:class:`repro.plans.ExperimentPlan` objects carrying those parameters —
+corpus *traces* are data, not specs, and are rebuilt from the parameters by
+the Figure 7 payload builder and the assemblers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms.base import RunResult
 from repro.algorithms.registry import PAPER_ALGORITHMS
 from repro.analysis.complexity_map import trace_complexity
 from repro.analysis.entropy import locality_summary
@@ -37,7 +38,7 @@ from repro.experiments.config import get_scale
 from repro.plans import ExperimentPlan
 from repro.plans.execute import StageResult, register_assembler, run as run_plan
 from repro.sim.results import ResultTable
-from repro.sim.runner import SequenceSource, TrialPayload, execute_payloads
+from repro.sim.runner import SequenceSource, TrialPayload
 from repro.workloads.corpus import CorpusWorkload, synthetic_corpus_workloads
 
 __all__ = [
@@ -114,58 +115,6 @@ def _complexity_table(workloads: Sequence[CorpusWorkload]) -> ResultTable:
     return table
 
 
-def _costs_table(
-    workloads: Sequence[CorpusWorkload],
-    algorithms: Sequence[str],
-    limit: int,
-    base_seed: int,
-    n_jobs: int,
-) -> ResultTable:
-    """Run ``algorithms`` on every corpus dataset (Figure 7 data)."""
-    table = ResultTable(
-        name="fig7_corpus_costs",
-        columns=[
-            "dataset",
-            "algorithm",
-            "n_requests",
-            "tree_size",
-            "mean_access_cost",
-            "mean_adjustment_cost",
-            "mean_total_cost",
-        ],
-    )
-    payloads: List[TrialPayload] = []
-    for index, workload in enumerate(workloads):
-        # Corpus traces are data, not a recipe: ship the (truncated) sequence
-        # itself.  All algorithms on a dataset share one source object.
-        source = SequenceSource(tuple(workload.full_sequence()[:limit]))
-        for algorithm in algorithms:
-            payloads.append(
-                TrialPayload(
-                    algorithm=algorithm,
-                    source=source,
-                    n_nodes=workload.n_elements,
-                    placement_seed=base_seed,
-                    algorithm_seed=base_seed + 1,
-                    keep_records=False,
-                    trial=index,
-                    metadata={"dataset": workload.title},
-                )
-            )
-    results = execute_payloads(payloads, n_jobs)
-    for payload, result in zip(payloads, results):
-        table.add_row(
-            dataset=payload.metadata["dataset"],
-            algorithm=payload.algorithm_name,
-            n_requests=result.n_requests,
-            tree_size=payload.n_nodes,
-            mean_access_cost=result.average_access_cost,
-            mean_adjustment_cost=result.average_adjustment_cost,
-            mean_total_cost=result.average_total_cost,
-        )
-    return table
-
-
 def build_q5_complexity_plan(scale: str = "tiny") -> ExperimentPlan:
     """Build the Figure 6 plan (assembler-only: pure trace analysis)."""
     config = get_scale(scale)
@@ -206,20 +155,70 @@ def build_q5_costs_plan(
     )
 
 
-@register_assembler("q5_costs")
-def _assemble_q5_costs(plan: ExperimentPlan, stages: List[StageResult]) -> ResultTable:
-    if stages:
+def _q5_costs_payloads(plan: ExperimentPlan) -> List[TrialPayload]:
+    """Build one payload per (dataset, algorithm) of Figure 7, dataset-major.
+
+    Corpus traces are data, not a recipe: each payload ships the (truncated)
+    sequence itself, and all algorithms on a dataset share one source
+    object.  Every run starts from placement seed ``base_seed`` with
+    algorithm seed ``base_seed + 1``.
+    """
+    if plan.stages:
         raise PlanError("assembler 'q5_costs' is assembler-only")
     if plan.config is None:
         raise PlanError("assembler 'q5_costs' needs the plan's config")
     params = plan.param_dict()
-    return _costs_table(
-        _rebuild_corpus(params),
-        [str(name) for name in params["algorithms"]],
-        limit=plan.config.n_requests,
-        base_seed=plan.config.base_seed,
-        n_jobs=plan.config.n_jobs,
+    config = plan.config
+    payloads: List[TrialPayload] = []
+    for index, workload in enumerate(_rebuild_corpus(params)):
+        source = SequenceSource(tuple(workload.full_sequence()[: config.n_requests]))
+        for algorithm in params["algorithms"]:
+            payloads.append(
+                TrialPayload(
+                    algorithm=str(algorithm),
+                    source=source,
+                    n_nodes=workload.n_elements,
+                    placement_seed=config.base_seed,
+                    algorithm_seed=config.base_seed + 1,
+                    keep_records=False,
+                    trial=index,
+                    metadata={"dataset": workload.title},
+                )
+            )
+    return payloads
+
+
+@register_assembler("q5_costs", payloads=_q5_costs_payloads)
+def _assemble_q5_costs(
+    plan: ExperimentPlan,
+    stages: List[StageResult],
+    payloads: List[TrialPayload],
+    results: List[RunResult],
+) -> ResultTable:
+    """Fold the (dataset, algorithm) results into the Figure 7 table."""
+    table = ResultTable(
+        name="fig7_corpus_costs",
+        columns=[
+            "dataset",
+            "algorithm",
+            "n_requests",
+            "tree_size",
+            "mean_access_cost",
+            "mean_adjustment_cost",
+            "mean_total_cost",
+        ],
     )
+    for payload, result in zip(payloads, results):
+        table.add_row(
+            dataset=payload.metadata["dataset"],
+            algorithm=payload.algorithm_name,
+            n_requests=result.n_requests,
+            tree_size=payload.n_nodes,
+            mean_access_cost=result.average_access_cost,
+            mean_adjustment_cost=result.average_adjustment_cost,
+            mean_total_cost=result.average_total_cost,
+        )
+    return table
 
 
 def run_q5_complexity_map(
@@ -234,7 +233,6 @@ def run_q5_complexity_map(
 
 def run_q5_costs(
     scale: str = "tiny",
-    workloads: Optional[Sequence[CorpusWorkload]] = None,
     algorithms: Optional[Sequence[str]] = None,
     max_requests: Optional[int] = None,
     n_jobs: int = 1,
@@ -244,19 +242,7 @@ def run_q5_costs(
     The (dataset, algorithm) runs are independent; with ``n_jobs > 1`` they
     are fanned out over a process pool with bit-identical results.
     """
-    if workloads is not None:
-        config = get_scale(scale)
-        limit = max_requests if max_requests is not None else config.n_requests
-        return _costs_table(
-            list(workloads),
-            list(algorithms or PAPER_ALGORITHMS),
-            limit=limit,
-            base_seed=config.base_seed,
-            n_jobs=n_jobs,
-        )
-    return run_plan(
-        build_q5_costs_plan(scale, algorithms, max_requests, n_jobs)
-    )
+    return run_plan(build_q5_costs_plan(scale, algorithms, max_requests, n_jobs))
 
 
 def build_q5_plan(

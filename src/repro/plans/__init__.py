@@ -10,8 +10,9 @@ JSON round-trippable data:
   :class:`~repro.plans.model.ExperimentPlan` — composable descriptions of
   what to run, validated against the algorithm and workload registries at
   construction;
-* :func:`run` — the one entrypoint executing any plan through the existing
-  runner/sweep machinery, bit-identically to the imperative API;
+* :func:`run` — the one entrypoint: it compiles any plan tree to one flat
+  payload list and fans it out in one pass (bit-identical for every
+  ``n_jobs``, cache state and executor);
 * :func:`load` / :func:`dump` (and ``loads``/``dumps``) — the JSON document
   format, plus the shipped golden plans for q1–q5
   (:func:`load_golden_plan`).
@@ -81,8 +82,8 @@ __all__ = [
 ]
 
 #: Names resolved lazily from :mod:`repro.plans.execute` (PEP 562) so that
-#: importing the plan model from low-level modules (``repro.sim.sweep``)
-#: cannot create an import cycle through the executor.
+#: importing the plan model from low-level modules cannot create an import
+#: cycle through the executor.
 _EXECUTE_NAMES = {
     "run",
     "last_run_stats",

@@ -9,9 +9,8 @@ algorithm and workload registries *at construction*.  Experiments become
 shareable artifacts instead of imperative code:
 
 * :class:`RunConfig` — the run-shape half (trials, requests per trial, seed
-  policy, worker processes, streaming chunk size, record mode); the
-  bundle that used to be threaded keyword-by-keyword through
-  ``TrialRunner`` → ``ParameterSweep`` → q1–q5 → CLI.
+  policy, worker processes, streaming chunk size, record mode, fan-out
+  and resilience settings).
 * :class:`TrialPlan` — one multi-trial comparison: a workload template, a
   tuple of algorithm specs, a tree size and a config.
 * :class:`SweepPlan` — a parameter sweep: a list of points, a binding from
@@ -30,8 +29,8 @@ shareable artifacts instead of imperative code:
   histograms, per-source cost reports, ...).
 
 Plans never hold RNG state or request data; executing one
-(:func:`repro.plans.run`) derives all seeds from ``config.base_seed`` exactly
-as the imperative runners always did, so a plan re-run — today, on another
+(:func:`repro.plans.run`) compiles it to trial payloads whose seeds all
+derive from ``config.base_seed``, so a plan re-run — today, on another
 machine, after a JSON round-trip — reproduces results bit for bit.
 """
 
@@ -83,9 +82,9 @@ class RunConfig:
     base_seed:
         Root of the seed policy.  Trial ``i`` derives its workload seed as
         ``base_seed + i``, its placement seed as ``base_seed + 10_000 + i``
-        and its algorithm seed as ``base_seed + 20_000 + i`` — the exact
-        derivation :class:`repro.sim.runner.TrialRunner` has always used, so
-        a plan pins results by pinning one integer.
+        and its algorithm seed as ``base_seed + 20_000 + i`` (see
+        :func:`repro.plans.execute.build_trial_payloads`), so a plan pins
+        results by pinning one integer.
     keep_records:
         Record mode: whether per-request cost records are retained
         (memory-heavy at paper scale).
@@ -730,7 +729,9 @@ class ExperimentPlan:
     figure-specific ones (difference tables, wireframe grids, histograms).
     Assembler-only experiments (no stages) describe runs whose payload
     structure is bespoke — e.g. the Q4 histogram's paired payloads — through
-    ``params`` and ``config`` alone.
+    ``params`` and ``config`` alone; their assembler is registered with a
+    payload builder, and the plan compiler fans those payloads out together
+    with every other stage's.
     """
 
     name: str

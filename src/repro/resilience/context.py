@@ -9,9 +9,8 @@ the resume/retry tests assert against ("re-running with ``resume=True``
 executed only the missing trials").
 
 The context travels through a :class:`contextvars.ContextVar`, not function
-signatures, so the low-level runner/sweep machinery keeps its existing call
-shapes and legacy (non-plan) callers simply see no context — and therefore
-no caching — exactly as before.
+signatures, so the fan-out keeps its call shape and callers outside a plan
+run simply see no context — and therefore no caching.
 """
 
 from __future__ import annotations
@@ -148,10 +147,25 @@ class ResilienceStats:
             baselines[name] = counter.total()
         object.__setattr__(self, "_counters", counters)
         object.__setattr__(self, "_baselines", baselines)
+        object.__setattr__(self, "_frozen", None)
 
     def _view(self, name: str) -> int:
+        if self._frozen is not None:
+            return self._frozen[name]
         raw = self._counters[name].total() - self._baselines[name]
         return int(raw) if raw > 0 else 0
+
+    def frozen(self) -> "ResilienceStats":
+        """Return a copy whose counters keep their current values.
+
+        A live view keeps following the registry counters, so later runs
+        would move it; :func:`repro.plans.run` publishes a frozen copy.
+        """
+        copy = ResilienceStats.__new__(ResilienceStats)
+        object.__setattr__(
+            copy, "_frozen", {name: self._view(name) for name in _STATS_FIELDS}
+        )
+        return copy
 
     def __getattr__(self, name: str):
         try:
@@ -167,6 +181,8 @@ class ResilienceStats:
         if name not in _STATS_FIELDS:
             object.__setattr__(self, name, value)
             return
+        if self._frozen is not None:
+            raise AttributeError(f"frozen stats: cannot set {name!r}")
         target = int(value)
         delta = target - self._view(name)
         if delta > 0:

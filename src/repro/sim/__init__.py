@@ -1,4 +1,4 @@
-"""Simulation engine, multi-trial runners, parameter sweeps and result tables."""
+"""Simulation engine, trial payloads and their fan-out, metrics and result tables."""
 
 from repro.sim.engine import (
     simulate,
@@ -23,28 +23,24 @@ from repro.sim.runner import (
     SpecSource,
     TrialOutcome,
     TrialPayload,
-    TrialRunner,
-    compare_algorithms,
+    aggregate,
 )
-from repro.sim.sweep import ParameterSweep
 
 __all__ = [
     "AggregatedOutcome",
     "Histogram",
-    "ParameterSweep",
     "ResultTable",
     "SequenceSource",
     "SpecSource",
     "TrialOutcome",
     "TrialPayload",
-    "TrialRunner",
+    "aggregate",
     "map_ordered",
     "resolve_n_jobs",
     "shutdown_persistent_pool",
     "simulate_stream",
     "access_cost_series",
     "adjustment_cost_series",
-    "compare_algorithms",
     "histogram_of_differences",
     "moving_average",
     "per_request_cost_difference",

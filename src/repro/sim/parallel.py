@@ -3,16 +3,17 @@
 The paper-scale configurations (65,535 nodes, 10^6 requests, 10 trials, six
 algorithms) multiply into hours of strictly serial CPU time.  Every (trial,
 algorithm) work item is, however, completely independent once its seeds are
-fixed: the workload sequence is generated up front and the placement and
-algorithm seeds are pure functions of the trial index.  This module provides
-the one primitive the runners need — "map this worker over these payloads,
+fixed: the workload is a spec and the placement and algorithm seeds are pure
+functions of the trial index.  This module provides the one primitive the
+payload fan-out (:func:`repro.sim.runner.execute_payloads`) needs — "map
+this worker over these payloads,
 possibly on several processes, preserving order" — so that parallel runs are
 bit-for-bit identical to serial ones by construction: the same payloads are
 built in the same order, and results are reassembled by position, never by
 completion time.
 
-``n_jobs`` convention (shared by :class:`repro.sim.runner.TrialRunner`,
-:class:`repro.sim.sweep.ParameterSweep` and the experiment drivers):
+``n_jobs`` convention (shared by :class:`repro.plans.RunConfig`, the
+experiment builders and the CLI's ``--jobs``):
 
 * ``1`` (default) — run serially in the current process, no pool involved;
 * ``k > 1`` — use up to ``k`` worker processes;

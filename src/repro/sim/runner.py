@@ -1,23 +1,23 @@
-"""Multi-trial experiment runner.
+"""Trial payloads and the fan-out that executes them.
 
-The paper repeats every synthetic experiment ten times and plots averages; this
-module provides :class:`TrialRunner`, which runs one (algorithm, workload)
-configuration over several seeded trials and aggregates the average costs, and
-:func:`compare_algorithms`, which does so for a set of algorithms on the *same*
-per-trial sequences (so differences between algorithms are not confounded by
-workload noise).
+The paper repeats every synthetic experiment over seeded trials and compares
+algorithms on the *same* per-trial sequences.  The plan compiler
+(:mod:`repro.plans.execute`) turns every plan into a flat list of
+:class:`TrialPayload` work items — one (trial, algorithm) pair each — and
+:func:`execute_payloads` runs them, serially, on a persistent process pool
+(see :mod:`repro.sim.parallel`) or on a remote worker fleet
+(:mod:`repro.dist`).  :func:`aggregate` folds per-trial outcomes into the
+per-algorithm means the paper plots.
 
-Work items are shipped to workers as :class:`TrialPayload` objects whose
-workload half is a :class:`WorkloadSource`:
+A payload's workload half is a :class:`WorkloadSource`:
 
 * :class:`SpecSource` — an immutable :class:`repro.workloads.spec.WorkloadSpec`
   plus a request count; the worker rebuilds the generator and *streams*
-  requests in chunks into the serve fast path.  This is the default whenever
-  the workload can describe itself as a spec: nothing is generated in the
+  requests in chunks into the serve fast path.  Nothing is generated in the
   parent process and the payload pickles in bytes, not megabytes.
-* :class:`SequenceSource` — a materialised request sequence, used for
-  workloads without a spec (ad-hoc generators) and by the explicit
-  :meth:`TrialRunner.run_on_sequences` API.
+* :class:`SequenceSource` — a materialised request sequence, for trace data
+  that is not a recipe (the Q5 corpus traces).
+* :class:`TrafficSource` — a multi-source traffic spec for network plans.
 * :class:`AdversarySource` — an :class:`repro.workloads.adversarial.
   AdversarySpec` plus a request count; the worker builds the *adaptive*
   adversary (which must observe the algorithm's tree, so it cannot be a
@@ -25,29 +25,24 @@ workload half is a :class:`WorkloadSource`:
   returns the costs it extracted.  This is how the paper's Lemma 8 and
   lower-bound constructions run under plans with fan-out and caching.
 
-Both accept ``n_jobs`` to fan the independent (trial, algorithm) work items
-out over a persistent process pool (see :mod:`repro.sim.parallel`).  Per-trial
-seeds are derived from the trial index alone, spec seeds are therefore pure
-functions of the trial index, and results are reassembled in payload order, so
-``n_jobs > 1`` — and streaming versus materialising — produce bit-for-bit the
-same outcomes as a serial run.
+Seeds are pure functions of the trial index and results are reassembled in
+payload order, so ``n_jobs > 1``, remote execution and streaming versus
+materialising all produce bit-for-bit the same outcomes as a serial run.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import RunResult
 from repro.algorithms.registry import AlgorithmSpec
 from repro.core import backend as _backend
-from repro.exceptions import ExperimentError
 from repro.network.multi_source import MultiSourceNetwork
 from repro.network.traffic import TrafficSpec
 from repro.resilience.context import current_context
-from repro.resilience.faults import FaultSpec, fault_spec_from_env, maybe_inject
+from repro.resilience.faults import FaultSpec, maybe_inject
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.store import payload_key
 from repro.sim.engine import simulate, simulate_stream
@@ -57,7 +52,6 @@ from repro.telemetry.registry import default_registry
 from repro.telemetry.trace import default_tracer, span_id
 from repro.types import ElementId
 from repro.workloads.adversarial import AdversarySpec
-from repro.workloads.base import WorkloadGenerator, check_chunk_size
 from repro.workloads.spec import DEFAULT_CHUNK_SIZE, WorkloadSpec, build_workload
 
 __all__ = [
@@ -68,14 +62,9 @@ __all__ = [
     "TrialOutcome",
     "AggregatedOutcome",
     "TrialPayload",
-    "TrialRunner",
-    "compare_algorithms",
+    "aggregate",
     "execute_payloads",
 ]
-
-#: Signature of a factory producing a fresh workload — or directly a
-#: :class:`~repro.workloads.spec.WorkloadSpec` — for trial ``i``.
-WorkloadFactory = Callable[[int], Union[WorkloadGenerator, WorkloadSpec]]
 
 
 @dataclass(frozen=True)
@@ -205,8 +194,8 @@ def execute_payloads(
 ) -> List[RunResult]:
     """Execute payloads (serially or on the pool), releasing the stream memo.
 
-    The one entry point the runners use around :func:`map_ordered` — and the
-    seam where the resilience layer plugs in.  When a plan run has activated
+    The one entry point the plan compiler uses around :func:`map_ordered` —
+    and the seam where the resilience layer plugs in.  When a plan run has activated
     an :class:`repro.resilience.ExecutionContext` (via ``repro.run(...,
     cache=...)`` or a ``cache_dir`` in the stage config):
 
@@ -220,8 +209,7 @@ def execute_payloads(
     Results are pure functions of payload content (seeds derive from the
     trial index alone), so mixing cached and fresh results is bit-identical
     to computing everything; reassembly stays strictly in payload order.
-    Legacy callers with no active context get the exact pre-resilience
-    behaviour: no store, no resume, plain fan-out.
+    Callers with no active context get a plain fan-out: no store, no resume.
 
     With an ``executor`` address (``tcp://host:port[,host:port...]``) the
     pending payloads are dispatched to the remote worker fleet instead of
@@ -509,411 +497,17 @@ class AggregatedOutcome:
         return self.total_cost.get("mean", 0.0)
 
 
-#: Sentinel distinguishing "not passed" from an explicit value in the legacy
-#: keyword-threaded signatures (so the deprecation shim only fires for
-#: callers actually using them).
-_UNSET: object = object()
-
-
-def _resolve_legacy_run_shape(
-    owner: str,
-    config,
-    n_requests,
-    n_trials,
-    base_seed,
-    keep_records,
-    n_jobs,
-    chunk_size,
-) -> Tuple[int, int, int, bool, int, Optional[int]]:
-    """Shared shim: fold a ``RunConfig`` or legacy keywords into run shape.
-
-    ``config`` (any object with the :class:`repro.plans.RunConfig` fields —
-    duck-typed so this low-level module never imports the plan layer) is the
-    preferred way to describe the run shape.  The legacy keyword-threaded
-    perf knobs (``n_jobs``/``chunk_size``) still work but emit a
-    :class:`DeprecationWarning` pointing at configs/plans.
-    """
-    if config is not None:
-        explicit = [
-            name
-            for name, value in (
-                ("n_requests", n_requests),
-                ("n_trials", n_trials),
-                ("base_seed", base_seed),
-                ("keep_records", keep_records),
-                ("n_jobs", n_jobs),
-                ("chunk_size", chunk_size),
-            )
-            if value is not _UNSET and value is not None
-        ]
-        if explicit:
-            raise ExperimentError(
-                f"{owner}: pass either config= or the loose keyword arguments "
-                f"{explicit}, not both"
-            )
-        return (
-            config.n_requests,
-            config.n_trials,
-            config.base_seed,
-            config.keep_records,
-            config.n_jobs,
-            config.chunk_size,
+def aggregate(outcomes: Dict[str, List[TrialOutcome]]) -> Dict[str, AggregatedOutcome]:
+    """Aggregate per-trial average costs for every algorithm."""
+    return {
+        name: AggregatedOutcome(
+            algorithm=name,
+            n_trials=len(trials),
+            access_cost=summarise_values([t.result.average_access_cost for t in trials]),
+            adjustment_cost=summarise_values(
+                [t.result.average_adjustment_cost for t in trials]
+            ),
+            total_cost=summarise_values([t.result.average_total_cost for t in trials]),
         )
-    if n_requests is _UNSET or n_requests is None:
-        raise ExperimentError(f"{owner}: n_requests is required (or pass config=)")
-    legacy_knobs = [
-        name
-        for name, value in (
-            ("n_jobs", n_jobs),
-            ("chunk_size", chunk_size),
-        )
-        if value is not _UNSET
-    ]
-    if legacy_knobs:
-        warnings.warn(
-            f"threading {', '.join(legacy_knobs)} through {owner} keyword "
-            "arguments is deprecated; bundle the run shape in a "
-            "repro.plans.RunConfig (config=...) or run a declarative plan "
-            "via repro.run(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return (
-        n_requests,
-        3 if n_trials is _UNSET else n_trials,
-        0 if base_seed is _UNSET else base_seed,
-        False if keep_records is _UNSET else keep_records,
-        1 if n_jobs is _UNSET else n_jobs,
-        None if chunk_size is _UNSET else chunk_size,
-    )
-
-
-class TrialRunner:
-    """Runs algorithms over repeated, seeded workload trials.
-
-    The run shape is best given as one ``config`` object
-    (:class:`repro.plans.RunConfig` — trials, requests, seed policy, worker
-    processes, chunk size, record mode); the loose keyword
-    arguments remain as a deprecated shim for the knob-threading style the
-    plan API replaced.
-
-    Parameters
-    ----------
-    n_nodes:
-        Tree size (must be a complete-binary-tree size).
-    config:
-        The run shape as a :class:`repro.plans.RunConfig` (preferred).
-        Mutually exclusive with the keyword arguments below.
-    n_requests:
-        Number of requests per trial.
-    n_trials:
-        Number of independent trials (the paper uses 10).
-    base_seed:
-        Base of the per-trial seeds (trial ``i`` uses ``base_seed + i`` for the
-        workload, the placement and the algorithm randomness).
-    keep_records:
-        Whether to retain per-request cost records (memory-heavy for long runs).
-    n_jobs:
-        .. deprecated:: use ``config``.  Worker processes for the (trial,
-        algorithm) fan-out; ``1`` (default) runs serially, negative uses
-        every CPU.  Parallel runs are bit-identical to serial ones (see
-        :mod:`repro.sim.parallel`).
-    chunk_size:
-        .. deprecated:: use ``config``.  Streaming chunk size for
-        spec-shipped workloads (default
-        :data:`repro.workloads.spec.DEFAULT_CHUNK_SIZE`); affects memory and
-        batching only, never the generated stream.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_requests: Optional[int] = _UNSET,
-        n_trials: int = _UNSET,
-        base_seed: int = _UNSET,
-        keep_records: bool = _UNSET,
-        n_jobs: int = _UNSET,
-        chunk_size: Optional[int] = _UNSET,
-        config=None,
-    ) -> None:
-        (
-            n_requests,
-            n_trials,
-            base_seed,
-            keep_records,
-            n_jobs,
-            chunk_size,
-        ) = _resolve_legacy_run_shape(
-            "TrialRunner",
-            config,
-            n_requests,
-            n_trials,
-            base_seed,
-            keep_records,
-            n_jobs,
-            chunk_size,
-        )
-        if n_trials <= 0:
-            raise ExperimentError(f"n_trials must be positive, got {n_trials}")
-        if n_requests < 0:
-            raise ExperimentError(f"n_requests must be non-negative, got {n_requests}")
-        self.n_nodes = n_nodes
-        self.n_requests = n_requests
-        self.n_trials = n_trials
-        self.base_seed = base_seed
-        self.keep_records = keep_records
-        self.n_jobs = n_jobs
-        self.chunk_size = (
-            DEFAULT_CHUNK_SIZE if chunk_size is None else check_chunk_size(int(chunk_size))
-        )
-        # Resilience knobs live only on configs (no legacy keyword shim —
-        # they postdate the plan API); duck-typed so older config-like
-        # objects without the fields keep working.
-        self.worker_timeout = getattr(config, "worker_timeout", None)
-        self.max_retries = getattr(config, "max_retries", 2)
-        self.cache_dir = getattr(config, "cache_dir", None)
-        self.executor = getattr(config, "executor", None)
-
-    def _check_universe(self, n_elements: object) -> None:
-        if n_elements != self.n_nodes:
-            raise ExperimentError(
-                f"workload universe {n_elements} does not match "
-                f"runner tree size {self.n_nodes}"
-            )
-
-    def trial_sources(self, workload_factory: WorkloadFactory) -> List[WorkloadSource]:
-        """Build one workload source per trial without generating any requests.
-
-        The factory is called with the per-trial seed and may return either a
-        :class:`~repro.workloads.spec.WorkloadSpec` directly or a freshly
-        constructed generator.  Generators that can describe themselves as a
-        spec (:meth:`~repro.workloads.base.WorkloadGenerator.to_spec`) are
-        shipped as specs and streamed in the worker; only spec-less workloads
-        are materialised here as a fallback.
-        """
-        sources: List[WorkloadSource] = []
-        for trial in range(self.n_trials):
-            built = workload_factory(self.base_seed + trial)
-            if isinstance(built, WorkloadSpec):
-                self._check_universe(built.get("n_elements", self.n_nodes))
-                sources.append(SpecSource(built, self.n_requests, self.chunk_size))
-                continue
-            self._check_universe(built.n_elements)
-            spec = built.to_spec() if built.ships_as_spec else None
-            if spec is not None:
-                sources.append(SpecSource(spec, self.n_requests, self.chunk_size))
-            else:
-                # Spec-less workloads (adaptive adversaries, ad-hoc
-                # generators) and trace-backed workloads, whose spec would
-                # embed the whole trace: ship the truncated sequence instead.
-                sources.append(
-                    SequenceSource(tuple(built.generate(self.n_requests)))
-                )
-        return sources
-
-    def trial_sequences(self, workload_factory: WorkloadFactory) -> List[List[ElementId]]:
-        """Generate one materialised request sequence per trial (legacy path).
-
-        Kept for callers that need the raw sequences (entropy measurements,
-        oracle comparisons); the runners themselves ship specs via
-        :meth:`trial_sources` instead.
-        """
-        sequences: List[List[ElementId]] = []
-        for trial in range(self.n_trials):
-            workload = workload_factory(self.base_seed + trial)
-            if isinstance(workload, WorkloadSpec):
-                workload = build_workload(workload)
-            self._check_universe(workload.n_elements)
-            sequences.append(workload.generate(self.n_requests))
-        return sequences
-
-    def run(
-        self,
-        algorithms: Sequence[str],
-        workload_factory: WorkloadFactory,
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Run every algorithm on every trial workload.
-
-        All algorithms see the *same* stream in a given trial (the same spec
-        rebuilds the same generator in every worker); per-trial placement
-        seeds are also shared so the initial tree is identical across
-        algorithms, as in the paper's setup.
-        """
-        sources = self.trial_sources(workload_factory)
-        payloads = self.build_payloads(algorithms, sources, algorithm_kwargs)
-        results = self._execute(payloads, self.n_jobs)
-        return self.collect(algorithms, payloads, results)
-
-    def _execute(
-        self, payloads: Sequence[TrialPayload], n_jobs: Optional[int]
-    ) -> List[RunResult]:
-        """Fan the payloads out with this runner's resilience knobs attached."""
-        return execute_payloads(
-            payloads,
-            n_jobs,
-            worker_timeout=self.worker_timeout,
-            retry=RetryPolicy.for_config(self),
-            cache_dir=self.cache_dir,
-            executor=self.executor,
-        )
-
-    def build_payloads(
-        self,
-        algorithms: Sequence[str],
-        sources: Sequence[Union[WorkloadSource, Sequence[ElementId]]],
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    ) -> List[TrialPayload]:
-        """Build the (trial, algorithm) work items in deterministic order.
-
-        ``sources`` may mix :class:`SpecSource`/:class:`SequenceSource`
-        objects and raw sequences (wrapped transparently).  Seeds depend only
-        on the trial index (placement ``base_seed + 10_000 + trial``,
-        algorithm ``base_seed + 20_000 + trial``), so the payloads — and
-        therefore the results — are independent of where and in which order
-        they are executed.  When :data:`repro.resilience.faults.FAULT_SPEC_ENV`
-        is set, the requested fault spec is stamped onto every payload (the
-        CI fault smoke's injection path).
-        """
-        algorithm_kwargs = algorithm_kwargs or {}
-        specs = [
-            AlgorithmSpec.create(
-                spec.name, **{**spec.param_dict(), **algorithm_kwargs.get(spec.name, {})}
-            )
-            for spec in (AlgorithmSpec.coerce(algorithm) for algorithm in algorithms)
-        ]
-        fault = fault_spec_from_env()
-        payloads: List[TrialPayload] = []
-        for trial, source in enumerate(sources):
-            if not isinstance(source, (SpecSource, SequenceSource)):
-                source = SequenceSource(tuple(source))
-            if isinstance(source, SpecSource) and len(specs) > 1:
-                # every algorithm of this trial serves the same stream; let
-                # workers generate it once, not once per algorithm
-                source = replace(source, shared=True)
-            placement_seed = self.base_seed + 10_000 + trial
-            algorithm_seed = self.base_seed + 20_000 + trial
-            for spec in specs:
-                payloads.append(
-                    TrialPayload(
-                        algorithm=spec,
-                        source=source,
-                        n_nodes=self.n_nodes,
-                        placement_seed=placement_seed,
-                        algorithm_seed=algorithm_seed,
-                        keep_records=self.keep_records,
-                        trial=trial,
-                        fault=fault,
-                    )
-                )
-        return payloads
-
-    @staticmethod
-    def collect(
-        algorithms: Sequence[str],
-        payloads: Sequence[TrialPayload],
-        results: Sequence[RunResult],
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Reassemble ordered worker results into the per-algorithm outcome map."""
-        outcomes: Dict[str, List[TrialOutcome]] = {
-            AlgorithmSpec.coerce(algorithm).name: [] for algorithm in algorithms
-        }
-        for payload, result in zip(payloads, results):
-            outcomes[payload.algorithm_name].append(
-                TrialOutcome(
-                    algorithm=payload.algorithm_name,
-                    trial=payload.trial,
-                    result=result,
-                )
-            )
-        return outcomes
-
-    def run_on_sequences(
-        self,
-        algorithms: Sequence[str],
-        sequences: Sequence[Sequence[ElementId]],
-        algorithm_kwargs: Optional[Dict[str, dict]] = None,
-        n_jobs: Optional[int] = None,
-    ) -> Dict[str, List[TrialOutcome]]:
-        """Run every algorithm on externally supplied per-trial sequences.
-
-        ``n_jobs`` overrides the runner-wide setting for this call.
-        """
-        payloads = self.build_payloads(algorithms, sequences, algorithm_kwargs)
-        results = self._execute(payloads, self.n_jobs if n_jobs is None else n_jobs)
-        return self.collect(algorithms, payloads, results)
-
-    @staticmethod
-    def aggregate(outcomes: Dict[str, List[TrialOutcome]]) -> Dict[str, AggregatedOutcome]:
-        """Aggregate per-trial average costs for every algorithm."""
-        aggregated: Dict[str, AggregatedOutcome] = {}
-        for name, trials in outcomes.items():
-            aggregated[name] = AggregatedOutcome(
-                algorithm=name,
-                n_trials=len(trials),
-                access_cost=summarise_values(
-                    [t.result.average_access_cost for t in trials]
-                ),
-                adjustment_cost=summarise_values(
-                    [t.result.average_adjustment_cost for t in trials]
-                ),
-                total_cost=summarise_values(
-                    [t.result.average_total_cost for t in trials]
-                ),
-            )
-        return aggregated
-
-
-def compare_algorithms(
-    algorithms: Sequence[str],
-    workload_factory: WorkloadFactory,
-    n_nodes: int,
-    n_requests: Optional[int] = _UNSET,
-    n_trials: int = _UNSET,
-    base_seed: int = _UNSET,
-    keep_records: bool = _UNSET,
-    algorithm_kwargs: Optional[Dict[str, dict]] = None,
-    n_jobs: int = _UNSET,
-    chunk_size: Optional[int] = _UNSET,
-    config=None,
-) -> Dict[str, AggregatedOutcome]:
-    """One-call helper: run all algorithms over seeded trials and aggregate.
-
-    Prefer passing the run shape as one ``config``
-    (:class:`repro.plans.RunConfig`) — or, for spec-able workloads, building
-    a :class:`repro.plans.TrialPlan` and calling ``repro.run(plan)``.  The
-    loose ``n_jobs``/``chunk_size`` keywords are a deprecated
-    shim kept for the pre-plan call sites.
-    """
-    (
-        n_requests,
-        n_trials,
-        base_seed,
-        keep_records,
-        n_jobs,
-        chunk_size,
-    ) = _resolve_legacy_run_shape(
-        "compare_algorithms",
-        config,
-        n_requests,
-        n_trials,
-        base_seed,
-        keep_records,
-        n_jobs,
-        chunk_size,
-    )
-    with warnings.catch_warnings():
-        # the shim above already warned once if legacy knobs were used; do
-        # not warn a second time from the internal TrialRunner construction
-        warnings.simplefilter("ignore", DeprecationWarning)
-        runner = TrialRunner(
-            n_nodes=n_nodes,
-            n_requests=n_requests,
-            n_trials=n_trials,
-            base_seed=base_seed,
-            keep_records=keep_records,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
-        )
-    outcomes = runner.run(algorithms, workload_factory, algorithm_kwargs)
-    return TrialRunner.aggregate(outcomes)
+        for name, trials in outcomes.items()
+    }

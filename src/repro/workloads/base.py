@@ -12,7 +12,7 @@ Two protocols matter for the experiment pipeline:
   immutable :class:`repro.workloads.spec.WorkloadSpec` that
   :func:`repro.workloads.spec.build_workload` turns back into a pristine
   generator.  Specs (not generator objects, not materialised sequences) are
-  what the runners ship to pool workers.
+  what trial payloads ship to pool workers.
 * **Streaming** — :meth:`WorkloadGenerator.iter_requests` yields the exact
   stream that :meth:`generate` would return, in chunks, so paper-scale
   sequences (10^6 requests) never need to be resident at once.  Subclasses
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import abc
 import random
-import warnings
 from typing import Dict, Iterator, List, Optional
 
 from repro.core import backend as _backend
@@ -89,12 +88,6 @@ class WorkloadGenerator(abc.ABC):
     #: Short name used in experiment metadata and benchmark labels.
     name: str = "abstract"
 
-    #: Whether runners should prefer shipping this workload's spec to pool
-    #: workers.  True for generators whose spec is a small recipe; False for
-    #: trace-backed workloads whose spec embeds the full trace — shipping the
-    #: (truncated) materialised sequence is strictly smaller for those.
-    ships_as_spec: bool = True
-
     def __init__(self, n_elements: int, seed: Optional[int] = None) -> None:
         if n_elements <= 0:
             raise WorkloadError(f"n_elements must be positive, got {n_elements}")
@@ -152,49 +145,6 @@ class WorkloadGenerator(abc.ABC):
         """
         return None
 
-    def reseed(self, seed: Optional[int]) -> None:
-        """Restore the generator to the pristine state of seed ``seed``.
-
-        .. deprecated::
-            Prefer rebuilding from a spec instead of mutating a generator:
-            ``build_workload(generator.to_spec().with_seed(seed))``
-            (:func:`repro.workloads.spec.build_workload`) — the experiment
-            runners and the plan layer work exclusively that way.  ``reseed``
-            remains as a thin, correct wrapper (emitting a
-            :class:`DeprecationWarning`): it resets the base RNG **and** all
-            derived RNG state (NumPy streams, identifier permutations, nested
-            component generators) via the :meth:`_reseed_derived` hook, so
-            ``g.reseed(s); g.generate(n)`` equals a freshly constructed
-            generator with seed ``s``.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.reseed() is deprecated; rebuild the "
-            "generator from its spec instead: "
-            "build_workload(workload.to_spec().with_seed(seed)) "
-            "(see repro.workloads.spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._reseed(seed)
-
-    def _reseed(self, seed: Optional[int]) -> None:
-        """Warning-free reseed core (for internal nested-generator use)."""
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._reseed_derived()
-
-    def _reseed_derived(self) -> None:
-        """Reset RNG state derived from the seed beyond the base ``_rng``.
-
-        Called by :meth:`_reseed` after the base RNG has been replaced.
-        Subclasses owning NumPy generators, seeded permutations, lazily built
-        caches or nested component generators must override this and restore
-        each to its freshly constructed state, consuming ``self._rng`` in
-        exactly the order the constructor does.  Nested generators must be
-        restored through their ``_reseed`` (not the deprecated public
-        ``reseed``) so one user-facing call warns at most once.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         params = ", ".join(f"{k}={v!r}" for k, v in self.parameters().items())
         return f"{type(self).__name__}({params})"
@@ -208,9 +158,6 @@ class SequenceWorkload(WorkloadGenerator):
     """
 
     name = "fixed-sequence"
-
-    # The spec *is* the trace; runners ship the truncated sequence instead.
-    ships_as_spec = False
 
     def __init__(self, n_elements: int, sequence: List[ElementId]) -> None:
         super().__init__(n_elements, seed=None)

@@ -12,7 +12,7 @@ The spec protocol replaces ad-hoc mutation of generator objects:
 
 * construction is the only way RNG state comes into existence — a spec plus
   :func:`build_workload` always yields a generator in its pristine seeded
-  state, so there is no reseeding protocol to get subtly wrong;
+  state, so there is no state-reset protocol to get subtly wrong;
 * :meth:`repro.workloads.base.WorkloadGenerator.to_spec` is the inverse:
   every registered generator can describe itself as the spec that rebuilds it.
 

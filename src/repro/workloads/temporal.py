@@ -93,12 +93,6 @@ class TemporalWorkload(WorkloadGenerator):
             )
         self._base = base
 
-    def _reseed_derived(self) -> None:
-        # The nested base generator carries its own RNG state; restore it to
-        # its pristine seeded state so the composite equals a fresh instance.
-        if self._base is not None:
-            self._base._reseed(self._base.seed)
-
     def generate(self, n_requests: int) -> List[ElementId]:
         """Return a sequence with temporal locality ``p`` over the base workload."""
         self._check_length(n_requests)

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import repro
-from repro.exceptions import ExperimentError, PlanError, WorkloadError
+from repro.exceptions import PlanError, WorkloadError
 from repro.plans import (
     ExperimentPlan,
     RunConfig,
@@ -16,9 +16,7 @@ from repro.plans import (
     plan_with_overrides,
 )
 from repro.plans.execute import run as run_plan
-from repro.sim.runner import TrialRunner, compare_algorithms
 from repro.workloads.spec import WorkloadSpec, registered_kinds
-from repro.workloads.uniform import UniformWorkload
 
 
 def tiny_trial_plan(**config_kwargs) -> TrialPlan:
@@ -200,62 +198,6 @@ class TestOverrides:
 
 
 class TestDeprecations:
-    def test_trial_runner_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            TrialRunner(n_nodes=31, n_requests=10, n_jobs=1)
-
-    def test_compare_algorithms_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            compare_algorithms(
-                ["rotor-push"],
-                lambda seed: UniformWorkload(31, seed=seed),
-                n_nodes=31,
-                n_requests=20,
-                n_trials=1,
-                n_jobs=1,
-            )
-
-    def test_config_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner = TrialRunner(
-                n_nodes=31, config=RunConfig(n_requests=10, n_trials=1, n_jobs=1)
-            )
-            assert runner.n_requests == 10 and runner.n_jobs == 1
-            compare_algorithms(
-                ["rotor-push"],
-                lambda seed: UniformWorkload(31, seed=seed),
-                n_nodes=31,
-                config=RunConfig(n_requests=20, n_trials=1),
-            )
-
-    def test_config_and_loose_kwargs_conflict(self):
-        with pytest.raises(ExperimentError):
-            TrialRunner(
-                n_nodes=31, n_requests=10, config=RunConfig(n_requests=10)
-            )
-
-    def test_sweep_config_and_loose_kwargs_conflict(self):
-        from repro.sim.sweep import ParameterSweep
-        from repro.workloads.uniform import UniformWorkload as UW
-
-        with pytest.raises(ExperimentError, match="either config"):
-            ParameterSweep(
-                points=[{"p": 0.1}],
-                workload_factory=lambda point, seed: UW(31, seed=seed),
-                algorithms=["rotor-push"],
-                n_nodes=31,
-                n_jobs=8,  # silently dropping this would be a lie
-                config=RunConfig(n_requests=10, n_trials=1),
-            )
-
-    def test_reseed_warns_and_still_works(self):
-        workload = UniformWorkload(31, seed=3)
-        fresh = UniformWorkload(31, seed=9).generate(40)
-        with pytest.warns(DeprecationWarning, match="spec"):
-            workload.reseed(9)
-        assert workload.generate(40) == fresh
-
     def test_plan_execution_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

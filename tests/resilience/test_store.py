@@ -13,11 +13,11 @@ import logging
 import pytest
 
 import repro
-from repro.plans import RunConfig, load_golden_plan, plan_with_overrides
+from repro.plans import RunConfig, TrialPlan, load_golden_plan, plan_with_overrides
+from repro.plans.execute import build_trial_payloads
 from repro.resilience import ResultStore, payload_key, plan_hash
 from repro.resilience.store import result_from_dict, result_to_dict
 from repro.sim.engine import simulate
-from repro.sim.runner import TrialRunner
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -36,12 +36,13 @@ def small_result(keep_records: bool = False):
 def runner_payloads(**kwargs):
     config_kwargs = dict(n_requests=50, n_trials=2, base_seed=9)
     config_kwargs.update(kwargs)
-    runner = TrialRunner(n_nodes=15, config=RunConfig(**config_kwargs))
-    return runner.build_payloads(
-        ["rotor-push", "random-push"],
-        runner.trial_sources(
-            lambda seed: WorkloadSpec.create("uniform", n_elements=15, seed=seed)
-        ),
+    return build_trial_payloads(
+        TrialPlan(
+            n_nodes=15,
+            workload=WorkloadSpec.create("uniform", n_elements=15),
+            algorithms=("rotor-push", "random-push"),
+            config=RunConfig(**config_kwargs),
+        )
     )
 
 

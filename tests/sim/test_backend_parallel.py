@@ -1,4 +1,4 @@
-"""Batch kernels across the runner/sweep/pool plumbing.
+"""Batch kernels across the plan/pool plumbing.
 
 Workers choose the serve kernel per chunk, so a parallel run on the
 vectorised kernels must be bit-identical to a serial run on the scalar loop —
@@ -14,11 +14,13 @@ import sys
 
 import pytest
 
+import repro
 from repro.core import backend as backend_mod
+from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.plans.execute import build_trial_payloads
 from repro.sim.parallel import shutdown_persistent_pool
-from repro.sim.runner import compare_algorithms
-from repro.sim.sweep import ParameterSweep
-from repro.workloads.composite import CombinedLocalityWorkload
+from repro.sim.runner import TrialOutcome, aggregate, execute_payloads
+from repro.workloads.spec import WorkloadSpec
 
 ALGORITHMS = ["rotor-push", "random-push", "max-push", "static-oblivious"]
 N_NODES = 63
@@ -29,8 +31,9 @@ N_TRIALS = 2
 KERNEL_THRESHOLDS = {"vectorised": 1, "scalar": sys.maxsize}
 
 
-def factory(seed: int) -> CombinedLocalityWorkload:
-    return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
+WORKLOAD = WorkloadSpec.create(
+    "combined-locality", n_elements=N_NODES, zipf_exponent=1.4, repeat_probability=0.5
+)
 
 
 @contextlib.contextmanager
@@ -48,16 +51,23 @@ def kernel_side(kernel):
 
 
 def aggregates(kernel, n_jobs, chunk_size=None):
+    plan = TrialPlan(
+        n_nodes=N_NODES,
+        workload=WORKLOAD,
+        algorithms=tuple(ALGORITHMS),
+        config=RunConfig(
+            n_requests=N_REQUESTS, n_trials=N_TRIALS, chunk_size=chunk_size
+        ),
+    )
+    payloads = build_trial_payloads(plan)
     with kernel_side(kernel):
-        outcome = compare_algorithms(
-            ALGORITHMS,
-            factory,
-            n_nodes=N_NODES,
-            n_requests=N_REQUESTS,
-            n_trials=N_TRIALS,
-            n_jobs=n_jobs,
-            chunk_size=chunk_size,
+        results = execute_payloads(payloads, n_jobs)
+    outcomes = {name: [] for name in ALGORITHMS}
+    for payload, result in zip(payloads, results):
+        outcomes[payload.algorithm_name].append(
+            TrialOutcome(payload.algorithm_name, payload.trial, result)
         )
+    outcome = aggregate(outcomes)
     return {
         name: (
             outcome[name].access_cost,
@@ -119,19 +129,16 @@ class TestKernelsAcrossJobs:
 class TestSweepKernels:
     def test_sweep_results_identical_across_kernels(self):
         def sweep_table(kernel, n_jobs):
+            plan = SweepPlan(
+                workload=WORKLOAD,
+                algorithms=("rotor-push", "move-to-front"),
+                points=({"p": 0.2}, {"p": 0.8}),
+                bind={"p": "repeat_probability"},
+                n_nodes=N_NODES,
+                config=RunConfig(n_requests=N_REQUESTS, n_trials=N_TRIALS, n_jobs=n_jobs),
+            )
             with kernel_side(kernel):
-                sweep = ParameterSweep(
-                    points=[{"p": 0.2}, {"p": 0.8}],
-                    workload_factory=lambda point, seed: CombinedLocalityWorkload(
-                        N_NODES, 1.4, float(point["p"]), seed=seed
-                    ),
-                    algorithms=["rotor-push", "move-to-front"],
-                    n_nodes=N_NODES,
-                    n_requests=N_REQUESTS,
-                    n_trials=N_TRIALS,
-                    n_jobs=n_jobs,
-                )
-                return sweep.run().rows
+                return repro.run(plan).rows
 
         # sweeps flatten to the same payload list; only the kernel differs
         reference = sweep_table("scalar", 1)
@@ -149,7 +156,7 @@ class TestSharedSourceMemo:
         from repro.sim.runner import SpecSource, _chunks_of, _shared_chunks_cache
 
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", has_numpy)
-        spec = factory(3).to_spec()
+        spec = WORKLOAD.with_seed(3)
         source = SpecSource(spec, 50, 16, shared=True)
         try:
             chunks = _chunks_of(source)

@@ -10,20 +10,39 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.exceptions import ExperimentError
+from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.plans.execute import build_trial_payloads
 from repro.sim.parallel import map_ordered, resolve_n_jobs
-from repro.sim.runner import TrialRunner, compare_algorithms
-from repro.sim.sweep import ParameterSweep
-from repro.workloads.composite import CombinedLocalityWorkload
-from repro.workloads.temporal import TemporalWorkload
+from repro.sim.runner import TrialOutcome, aggregate, execute_payloads
+from repro.workloads.spec import WorkloadSpec
 
 N_NODES = 63
 N_REQUESTS = 400
 ALGORITHMS = ["rotor-push", "random-push", "static-oblivious"]
+WORKLOAD = WorkloadSpec.create(
+    "combined-locality", n_elements=N_NODES, zipf_exponent=1.4, repeat_probability=0.5
+)
 
 
-def _workload_factory(seed: int) -> CombinedLocalityWorkload:
-    return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
+def _plan(n_trials: int, **config) -> TrialPlan:
+    return TrialPlan(
+        n_nodes=N_NODES,
+        workload=WORKLOAD,
+        algorithms=tuple(ALGORITHMS),
+        config=RunConfig(n_requests=N_REQUESTS, n_trials=n_trials, **config),
+    )
+
+
+def _outcomes(plan: TrialPlan, n_jobs: int):
+    payloads = build_trial_payloads(plan)
+    outcomes = {name: [] for name in ALGORITHMS}
+    for payload, result in zip(payloads, execute_payloads(payloads, n_jobs)):
+        outcomes[payload.algorithm_name].append(
+            TrialOutcome(payload.algorithm_name, payload.trial, result)
+        )
+    return outcomes
 
 
 class TestResolveNJobs:
@@ -51,57 +70,39 @@ class TestMapOrdered:
 
 
 class TestParallelDeterminism:
-    def test_trial_runner_outcomes_identical(self):
-        def outcomes(n_jobs):
-            runner = TrialRunner(
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=3,
-                base_seed=5,
-                n_jobs=n_jobs,
-            )
-            return runner.run(ALGORITHMS, _workload_factory)
-
-        serial = outcomes(1)
-        parallel = outcomes(2)
+    def test_trial_plan_outcomes_identical(self):
+        plan = _plan(n_trials=3, base_seed=5)
+        serial = _outcomes(plan, 1)
+        parallel = _outcomes(plan, 2)
         assert serial.keys() == parallel.keys()
         for name in serial:
             assert [t.trial for t in serial[name]] == [t.trial for t in parallel[name]]
             for left, right in zip(serial[name], parallel[name]):
                 assert left.result.to_dict() == right.result.to_dict()
 
-    def test_compare_algorithms_identical(self):
-        def aggregate(n_jobs):
-            return compare_algorithms(
-                ALGORITHMS,
-                _workload_factory,
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                n_jobs=n_jobs,
-            )
-
-        serial = aggregate(1)
-        parallel = aggregate(2)
+    def test_aggregates_identical(self):
+        plan = _plan(n_trials=2)
+        serial = aggregate(_outcomes(plan, 1))
+        parallel = aggregate(_outcomes(plan, 2))
         for name in serial:
             assert serial[name].access_cost == parallel[name].access_cost
             assert serial[name].adjustment_cost == parallel[name].adjustment_cost
             assert serial[name].total_cost == parallel[name].total_cost
 
-    def test_parameter_sweep_table_byte_identical(self):
+    def test_sweep_plan_table_byte_identical(self):
         def table(n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.0}, {"p": 0.6}],
-                workload_factory=lambda point, seed: TemporalWorkload(
-                    N_NODES, float(point["p"]), seed=seed
-                ),
-                algorithms=ALGORITHMS,
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                base_seed=42,
-                n_jobs=n_jobs,
+            return repro.run(
+                SweepPlan(
+                    name="parallel-check",
+                    workload=WorkloadSpec.create("temporal", n_elements=N_NODES),
+                    algorithms=tuple(ALGORITHMS),
+                    points=({"p": 0.0}, {"p": 0.6}),
+                    bind={"p": "repeat_probability"},
+                    n_nodes=N_NODES,
+                    config=RunConfig(
+                        n_requests=N_REQUESTS, n_trials=2, base_seed=42, n_jobs=n_jobs
+                    ),
+                )
             )
-            return sweep.run(table_name="parallel-check")
 
         assert table(1).to_json() == table(2).to_json()

@@ -1,4 +1,4 @@
-"""Tests for result tables, per-request metrics and parameter sweeps."""
+"""Tests for result tables, per-request metrics and sweep plans."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.exceptions import ExperimentError
+import repro
+from repro.exceptions import ExperimentError, PlanError
+from repro.plans import RunConfig, SweepPlan
 from repro.sim.engine import simulate
 from repro.sim.metrics import (
     access_cost_series,
@@ -17,8 +19,8 @@ from repro.sim.metrics import (
     total_cost_series,
 )
 from repro.sim.results import ResultTable, summarise_values
-from repro.sim.sweep import ParameterSweep
-from repro.workloads import TemporalWorkload, UniformWorkload
+from repro.workloads import UniformWorkload
+from repro.workloads.spec import WorkloadSpec
 
 
 class TestResultTable:
@@ -125,59 +127,81 @@ class TestMetrics:
             moving_average([1.0], window=0)
 
 
-class TestParameterSweep:
+def sweep_plan(points, workload, algorithms, bind, n_nodes=None, **config) -> SweepPlan:
+    return SweepPlan(
+        name="unit_sweep",
+        workload=workload,
+        algorithms=tuple(algorithms),
+        points=tuple(points),
+        bind=bind,
+        n_nodes=n_nodes,
+        config=RunConfig(**config),
+    )
+
+
+TEMPORAL = WorkloadSpec.create("temporal", n_elements=63)
+
+
+class TestSweepPlan:
     def test_sweep_produces_one_row_per_point_and_algorithm(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.8}],
-            workload_factory=lambda point, seed: TemporalWorkload(63, float(point["p"]), seed=seed),
-            algorithms=["rotor-push", "static-oblivious"],
-            n_nodes=63,
-            n_requests=300,
-            n_trials=2,
+        table = repro.run(
+            sweep_plan(
+                [{"p": 0.0}, {"p": 0.8}],
+                TEMPORAL,
+                ["rotor-push", "static-oblivious"],
+                {"p": "repeat_probability"},
+                n_nodes=63,
+                n_requests=300,
+                n_trials=2,
+            )
         )
-        table = sweep.run("unit_sweep")
         assert len(table) == 4
         assert set(table.column("algorithm")) == {"rotor-push", "static-oblivious"}
 
     def test_sweep_point_tree_size_override(self):
-        sweep = ParameterSweep(
-            points=[{"n_nodes": 31}, {"n_nodes": 63}],
-            workload_factory=lambda point, seed: UniformWorkload(int(point["n_nodes"]), seed=seed),
-            algorithms=["static-oblivious"],
-            n_requests=100,
-            n_trials=1,
+        table = repro.run(
+            sweep_plan(
+                [{"n_nodes": 31}, {"n_nodes": 63}],
+                WorkloadSpec.create("uniform", n_elements=31),
+                ["static-oblivious"],
+                {"n_nodes": "n_elements"},
+                n_requests=100,
+                n_trials=1,
+            )
         )
-        table = sweep.run()
         sizes = table.column("n_nodes")
         assert sizes == [31, 63]
 
     def test_sweep_validation(self):
-        with pytest.raises(ExperimentError):
-            ParameterSweep(points=[], workload_factory=lambda p, s: None, algorithms=["x"])
-        with pytest.raises(ExperimentError):
-            ParameterSweep(points=[{"p": 1}], workload_factory=lambda p, s: None, algorithms=[])
+        with pytest.raises(PlanError):
+            sweep_plan([], TEMPORAL, ["rotor-push"], {})
+        with pytest.raises(PlanError):
+            sweep_plan([{"p": 1.0}], TEMPORAL, [], {"p": "repeat_probability"})
 
     def test_sweep_without_tree_size_fails(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.5}],
-            workload_factory=lambda point, seed: UniformWorkload(63, seed=seed),
-            algorithms=["static-oblivious"],
+        plan = sweep_plan(
+            [{"p": 0.5}],
+            TEMPORAL,
+            ["static-oblivious"],
+            {"p": "repeat_probability"},
             n_requests=10,
             n_trials=1,
         )
         with pytest.raises(ExperimentError):
-            sweep.run()
+            repro.run(plan)
 
     def test_locality_improves_rotor_push_in_sweep(self):
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.9}],
-            workload_factory=lambda point, seed: TemporalWorkload(127, float(point["p"]), seed=seed),
-            algorithms=["rotor-push"],
-            n_nodes=127,
-            n_requests=1_500,
-            n_trials=2,
+        table = repro.run(
+            sweep_plan(
+                [{"p": 0.0}, {"p": 0.9}],
+                WorkloadSpec.create("temporal", n_elements=127),
+                ["rotor-push"],
+                {"p": "repeat_probability"},
+                n_nodes=127,
+                n_requests=1_500,
+                n_trials=2,
+            )
         )
-        table = sweep.run()
         low = table.filter(p=0.0).rows[0]["mean_total_cost"]
         high = table.filter(p=0.9).rows[0]["mean_total_cost"]
         assert high < low

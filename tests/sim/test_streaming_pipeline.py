@@ -2,29 +2,35 @@
 
 The acceptance contract of the rebuilt generation pipeline:
 
-* payloads carry :class:`repro.sim.runner.SpecSource` (not sequences) for
-  every spec-able workload, and building them never calls ``generate`` in the
-  parent process;
+* compiled plan payloads carry :class:`repro.sim.runner.SpecSource` (not
+  sequences) for every spec workload, and building them never calls
+  ``generate`` in the parent process;
 * a parallel streaming run (``n_jobs=4``) is byte-identical to the serial
-  materialised baseline at the same seeds, for both the runner and the sweep;
+  materialised baseline at the same seeds, for both trial and sweep plans;
 * ``map_ordered`` reuses one persistent process pool across calls.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import repro
+from repro.exceptions import ExperimentError
+from repro.experiments import build_q5_costs_plan
+from repro.plans import RunConfig, SweepPlan, TrialPlan
+from repro.plans.execute import build_payloads, build_sweep_payloads, build_trial_payloads
 from repro.sim import parallel
 from repro.sim.engine import simulate, simulate_stream
 from repro.sim.runner import (
     SequenceSource,
     SpecSource,
-    TrialRunner,
-    compare_algorithms,
+    TrialOutcome,
+    aggregate,
+    execute_payloads,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.workloads import (
-    CombinedLocalityWorkload,
     TemporalWorkload,
     UniformWorkload,
     WorkloadGenerator,
@@ -32,18 +38,51 @@ from repro.workloads import (
     ZipfWorkload,
 )
 from repro.workloads.base import WorkloadGenerator as _Base
+from repro.workloads.spec import build_workload
 
 N_NODES = 63
 N_REQUESTS = 400
 ALGORITHMS = ["rotor-push", "random-push", "static-opt", "static-oblivious"]
+WORKLOAD = WorkloadSpec.create(
+    "combined-locality", n_elements=N_NODES, zipf_exponent=1.4, repeat_probability=0.5
+)
 
 
-def _factory(seed: int) -> CombinedLocalityWorkload:
-    return CombinedLocalityWorkload(N_NODES, 1.4, 0.5, seed=seed)
+def _plan(algorithms=ALGORITHMS, workload=WORKLOAD, **config) -> TrialPlan:
+    config.setdefault("n_requests", N_REQUESTS)
+    return TrialPlan(
+        n_nodes=N_NODES,
+        workload=workload,
+        algorithms=tuple(algorithms),
+        config=RunConfig(**config),
+    )
+
+
+def _outcomes(payloads, n_jobs=1):
+    """Execute payloads; return the per-algorithm outcome map."""
+    outcomes = {}
+    for payload, result in zip(payloads, execute_payloads(payloads, n_jobs)):
+        outcomes.setdefault(payload.algorithm_name, []).append(
+            TrialOutcome(payload.algorithm_name, payload.trial, result)
+        )
+    return outcomes
+
+
+def _materialised(payloads):
+    """The same payloads with every spec source generated in the parent."""
+    return [
+        replace(
+            payload,
+            source=SequenceSource(
+                tuple(build_workload(payload.source.spec).generate(payload.source.n_requests))
+            ),
+        )
+        for payload in payloads
+    ]
 
 
 class _SpeclessWorkload(WorkloadGenerator):
-    """A workload without a spec: must fall back to a materialised sequence."""
+    """A workload without a spec: must travel as a materialised sequence."""
 
     name = "specless"
 
@@ -54,51 +93,73 @@ class _SpeclessWorkload(WorkloadGenerator):
 
 class TestPayloadConstruction:
     def test_spec_able_workloads_ship_as_specs(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=N_REQUESTS, n_trials=3)
-        sources = runner.trial_sources(_factory)
+        payloads = build_trial_payloads(_plan(["rotor-push"], n_trials=3))
+        sources = [payload.source for payload in payloads]
         assert all(isinstance(source, SpecSource) for source in sources)
         assert [source.spec.seed for source in sources] == [0, 1, 2]
 
     def test_factory_may_return_specs_directly(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2, base_seed=7)
-        sources = runner.trial_sources(
-            lambda seed: WorkloadSpec.create("uniform", seed=seed, n_elements=N_NODES)
+        plan = _plan(
+            ["rotor-push"],
+            WorkloadSpec.create("uniform", n_elements=N_NODES),
+            n_requests=50,
+            n_trials=2,
+            base_seed=7,
         )
-        assert [source.spec.seed for source in sources] == [7, 8]
-        outcomes = runner.run(["rotor-push"], lambda seed: WorkloadSpec.create(
-            "uniform", seed=seed, n_elements=N_NODES
-        ))
-        reference = runner.run(
-            ["rotor-push"], lambda seed: UniformWorkload(N_NODES, seed=seed)
-        )
-        for left, right in zip(outcomes["rotor-push"], reference["rotor-push"]):
-            assert left.result.to_dict() == right.result.to_dict()
+        payloads = build_trial_payloads(plan)
+        assert [payload.source.spec.seed for payload in payloads] == [7, 8]
+        for payload, result in zip(payloads, execute_payloads(payloads, 1)):
+            reference = simulate(
+                "rotor-push",
+                UniformWorkload(N_NODES, seed=payload.source.spec.seed).generate(50),
+                n_nodes=N_NODES,
+                placement_seed=payload.placement_seed,
+                seed=payload.algorithm_seed,
+                metadata={"trial": payload.trial},
+            )
+            assert result.to_dict() == reference.to_dict()
 
     def test_specless_workload_falls_back_to_sequence(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2)
-        sources = runner.trial_sources(lambda seed: _SpeclessWorkload(N_NODES, seed))
+        payloads = build_trial_payloads(_plan(["rotor-push"], n_requests=50, n_trials=2))
+        payloads = [
+            replace(
+                payload,
+                source=SequenceSource(
+                    tuple(_SpeclessWorkload(N_NODES, payload.trial).generate(50))
+                ),
+            )
+            for payload in payloads
+        ]
+        sources = [payload.source for payload in payloads]
         assert all(isinstance(source, SequenceSource) for source in sources)
         assert all(len(source.sequence) == 50 for source in sources)
+        for payload, result in zip(payloads, execute_payloads(payloads, 2)):
+            reference = simulate(
+                "rotor-push",
+                payload.source.sequence,
+                n_nodes=N_NODES,
+                placement_seed=payload.placement_seed,
+                seed=payload.algorithm_seed,
+                metadata={"trial": payload.trial},
+            )
+            assert result.to_dict() == reference.to_dict()
 
     def test_trace_workloads_ship_truncated_sequences_not_trace_specs(self):
-        # a fixed-sequence spec embeds the whole trace; shipping it would be
-        # far heavier than the truncated sequence the runner actually needs
-        from repro.workloads import SequenceWorkload
-
-        trace = list(range(N_NODES)) * 100  # 6,300-element trace
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=50, n_trials=2)
-        sources = runner.trial_sources(lambda seed: SequenceWorkload(N_NODES, trace))
-        assert all(isinstance(source, SequenceSource) for source in sources)
-        assert all(source.sequence == tuple(trace[:50]) for source in sources)
+        # corpus traces are data: payloads ship the truncated sequence, far
+        # lighter than a fixed-sequence spec embedding the whole trace
+        payloads = build_payloads(build_q5_costs_plan("tiny", max_requests=50))
+        assert all(isinstance(payload.source, SequenceSource) for payload in payloads)
+        assert all(len(payload.source.sequence) == 50 for payload in payloads)
 
     def test_spec_universe_mismatch_rejected(self):
-        from repro.exceptions import ExperimentError
-
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=10, n_trials=1)
+        plan = SweepPlan(
+            workload=WorkloadSpec.create("uniform", n_elements=31),
+            algorithms=("rotor-push",),
+            points=({"n_nodes": N_NODES},),
+            config=RunConfig(n_requests=10, n_trials=1),
+        )
         with pytest.raises(ExperimentError):
-            runner.trial_sources(
-                lambda seed: WorkloadSpec.create("uniform", seed=seed, n_elements=31)
-            )
+            build_sweep_payloads(plan)
 
     def test_parent_never_generates_for_spec_workloads(self, monkeypatch):
         def forbidden(self, n_requests):
@@ -108,20 +169,24 @@ class TestPayloadConstruction:
         monkeypatch.setattr(_Base, "generate", forbidden)
         monkeypatch.setattr(TemporalWorkload, "generate", forbidden)
         monkeypatch.setattr(UniformWorkload, "generate", forbidden)
-        sweep = ParameterSweep(
-            points=[{"p": 0.0}, {"p": 0.5}, {"p": 0.9}],
-            workload_factory=lambda point, seed: TemporalWorkload(
-                N_NODES, float(point["p"]), seed=seed
-            ),
-            algorithms=ALGORITHMS,
+        probabilities = (0.0, 0.5, 0.9)
+        plan = SweepPlan(
+            workload=WorkloadSpec.create("temporal", n_elements=N_NODES),
+            algorithms=tuple(ALGORITHMS),
+            points=tuple({"p": p} for p in probabilities),
+            bind={"p": "repeat_probability"},
             n_nodes=N_NODES,
-            n_requests=10**6,  # paper scale: materialising this would be obvious
-            n_trials=3,
+            # paper scale: materialising this would be obvious
+            config=RunConfig(n_requests=10**6, n_trials=3),
         )
-        payloads, point_chunks = sweep.build_payloads()
+        payloads = build_sweep_payloads(plan)
         assert len(payloads) == 3 * 3 * len(ALGORITHMS)
         assert all(isinstance(p.source, SpecSource) for p in payloads)
-        assert [count for _, count in point_chunks] == [len(ALGORITHMS) * 3] * 3
+        per_point = [
+            sum(p.source.spec.get("repeat_probability") == value for p in payloads)
+            for value in probabilities
+        ]
+        assert per_point == [len(ALGORITHMS) * 3] * 3
 
 
 class TestStreamingDeterminism:
@@ -157,22 +222,11 @@ class TestStreamingDeterminism:
         assert streamed.to_dict() == materialised.to_dict()
 
     def test_runner_spec_path_equals_materialised_baseline(self):
-        runner = TrialRunner(
-            n_nodes=N_NODES, n_requests=N_REQUESTS, n_trials=3, base_seed=5, chunk_size=97
-        )
+        payloads = build_trial_payloads(_plan(n_trials=3, base_seed=5, chunk_size=97))
         # serial materialised baseline: generate in the parent, ship sequences
-        baseline = runner.run_on_sequences(
-            ALGORITHMS, runner.trial_sequences(_factory), n_jobs=1
-        )
+        baseline = _outcomes(_materialised(payloads), n_jobs=1)
         # spec-shipped streaming path, parallel
-        streaming = TrialRunner(
-            n_nodes=N_NODES,
-            n_requests=N_REQUESTS,
-            n_trials=3,
-            base_seed=5,
-            chunk_size=97,
-            n_jobs=4,
-        ).run(ALGORITHMS, _factory)
+        streaming = _outcomes(payloads, n_jobs=4)
         assert baseline.keys() == streaming.keys()
         for name in baseline:
             for left, right in zip(baseline[name], streaming[name]):
@@ -181,38 +235,35 @@ class TestStreamingDeterminism:
     @pytest.mark.parametrize("chunk_size", [None, 61])
     def test_sweep_serial_vs_parallel_byte_identical(self, chunk_size):
         def table(n_jobs):
-            sweep = ParameterSweep(
-                points=[{"p": 0.0}, {"a": 1.6, "p": 0.6}],
-                workload_factory=lambda point, seed: (
-                    CombinedLocalityWorkload(
-                        N_NODES, float(point.get("a", 1.2)), float(point["p"]), seed=seed
-                    )
-                ),
-                algorithms=ALGORITHMS,
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                base_seed=42,
-                n_jobs=n_jobs,
-                chunk_size=chunk_size,
+            return repro.run(
+                SweepPlan(
+                    name="stream-check",
+                    workload=WorkloadSpec.create(
+                        "combined-locality", n_elements=N_NODES, zipf_exponent=1.2
+                    ),
+                    algorithms=tuple(ALGORITHMS),
+                    points=({"p": 0.0}, {"a": 1.6, "p": 0.6}),
+                    bind={"p": "repeat_probability", "a": "zipf_exponent"},
+                    n_nodes=N_NODES,
+                    config=RunConfig(
+                        n_requests=N_REQUESTS,
+                        n_trials=2,
+                        base_seed=42,
+                        n_jobs=n_jobs,
+                        chunk_size=chunk_size,
+                    ),
+                )
             )
-            return sweep.run(table_name="stream-check")
 
         assert table(1).to_json() == table(4).to_json()
 
     def test_compare_algorithms_chunk_size_invariant(self):
-        def aggregate(chunk_size):
-            return compare_algorithms(
-                ["rotor-push", "move-half"],
-                _factory,
-                n_nodes=N_NODES,
-                n_requests=N_REQUESTS,
-                n_trials=2,
-                chunk_size=chunk_size,
-            )
+        def aggregated(chunk_size):
+            plan = _plan(["rotor-push", "move-half"], n_trials=2, chunk_size=chunk_size)
+            return aggregate(_outcomes(build_trial_payloads(plan)))
 
-        small = aggregate(17)
-        large = aggregate(10_000)
+        small = aggregated(17)
+        large = aggregated(10_000)
         for name in small:
             assert small[name].total_cost == large[name].total_cost
 
@@ -268,24 +319,27 @@ class TestSharedStreamMemo:
             lambda spec: builds.append(spec) or real_build(spec),
         )
         runner_module._shared_chunks_cache.clear()
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=100, n_trials=2)
-        runner.run(["rotor-push", "move-half", "static-oblivious"], _factory)
+        repro.run(
+            _plan(["rotor-push", "move-half", "static-oblivious"], n_requests=100, n_trials=2)
+        )
         # one build per trial, not one per (trial, algorithm)
         assert len(builds) == 2
         runner_module._shared_chunks_cache.clear()
 
     def test_single_algorithm_sources_stay_unshared(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=100, n_trials=2)
-        payloads = runner.build_payloads(["rotor-push"], runner.trial_sources(_factory))
+        payloads = build_trial_payloads(_plan(["rotor-push"], n_requests=100, n_trials=2))
         assert all(not p.source.shared for p in payloads)
-        both = runner.build_payloads(
-            ["rotor-push", "move-half"], runner.trial_sources(_factory)
+        both = build_trial_payloads(
+            _plan(["rotor-push", "move-half"], n_requests=100, n_trials=2)
         )
         assert all(p.source.shared for p in both)
 
     def test_shared_and_unshared_results_identical(self):
-        runner = TrialRunner(n_nodes=N_NODES, n_requests=200, n_trials=2, base_seed=3)
-        shared = runner.run(["rotor-push", "move-half"], _factory)
-        lone_rotor = runner.run(["rotor-push"], _factory)
+        def outcomes(algorithms):
+            plan = _plan(algorithms, n_requests=200, n_trials=2, base_seed=3)
+            return _outcomes(build_trial_payloads(plan))
+
+        shared = outcomes(["rotor-push", "move-half"])
+        lone_rotor = outcomes(["rotor-push"])
         for left, right in zip(shared["rotor-push"], lone_rotor["rotor-push"]):
             assert left.result.to_dict() == right.result.to_dict()

@@ -16,7 +16,6 @@ from repro import (
     CombinedLocalityWorkload,
     MultiSourceNetwork,
     PAPER_ALGORITHMS,
-    TemporalWorkload,
     UniformWorkload,
     ZipfWorkload,
     make_algorithm,
@@ -26,8 +25,20 @@ from repro import (
 from repro.analysis.bounds import compute_lower_bounds, static_optimum_cost
 from repro.analysis.working_set import ranks_of_sequence
 from repro.network import trace_from_workloads
-from repro.sim.runner import compare_algorithms
-from repro.workloads import MarkovWorkload
+from repro.workloads import MarkovWorkload, WorkloadSpec
+
+
+def mean_costs(workload: WorkloadSpec, n_nodes: int, n_requests: int, n_trials: int):
+    """Run the paper's algorithms as a trial plan; return rows by algorithm."""
+    table = repro.run(
+        repro.TrialPlan(
+            n_nodes=n_nodes,
+            workload=workload,
+            algorithms=tuple(PAPER_ALGORITHMS),
+            config=repro.RunConfig(n_requests=n_requests, n_trials=n_trials),
+        )
+    )
+    return {row["algorithm"]: row for row in table.rows}
 
 
 class TestPublicApi:
@@ -57,30 +68,28 @@ class TestPaperFindingsEndToEnd:
         )
 
     def test_self_adjusting_trees_exploit_temporal_locality(self):
-        aggregated = compare_algorithms(
-            PAPER_ALGORITHMS,
-            lambda seed: TemporalWorkload(255, 0.9, seed=seed),
+        rows = mean_costs(
+            WorkloadSpec.create("temporal", n_elements=255, repeat_probability=0.9),
             n_nodes=255,
             n_requests=4_000,
             n_trials=2,
         )
-        assert aggregated["rotor-push"].mean_total_cost < aggregated["static-oblivious"].mean_total_cost
-        assert aggregated["rotor-push"].mean_total_cost < aggregated["static-opt"].mean_total_cost
+        assert rows["rotor-push"]["mean_total_cost"] < rows["static-oblivious"]["mean_total_cost"]
+        assert rows["rotor-push"]["mean_total_cost"] < rows["static-opt"]["mean_total_cost"]
         # Max-Push pays the largest adjustment cost (Figure 3's dominant bar).
-        assert aggregated["max-push"].mean_adjustment_cost == max(
-            aggregated[name].mean_adjustment_cost for name in PAPER_ALGORITHMS
+        assert rows["max-push"]["mean_adjustment_cost"] == max(
+            rows[name]["mean_adjustment_cost"] for name in PAPER_ALGORITHMS
         )
 
     def test_static_opt_wins_under_pure_spatial_locality(self):
-        aggregated = compare_algorithms(
-            PAPER_ALGORITHMS,
-            lambda seed: ZipfWorkload(255, 2.2, seed=seed),
+        rows = mean_costs(
+            WorkloadSpec.create("zipf", n_elements=255, exponent=2.2),
             n_nodes=255,
             n_requests=4_000,
             n_trials=2,
         )
-        best = min(aggregated.values(), key=lambda outcome: outcome.mean_total_cost)
-        assert best.algorithm == "static-opt"
+        best = min(rows.values(), key=lambda row: row["mean_total_cost"])
+        assert best["algorithm"] == "static-opt"
 
     def test_every_algorithm_beats_the_trivial_depth_bound_on_skewed_input(self):
         workload = ZipfWorkload(255, 2.2, seed=5)
