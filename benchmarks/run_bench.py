@@ -32,6 +32,11 @@ against its predecessors on the same hardware.  The measured layers:
   latency of a real ``repro serve`` daemon (asyncio TCP endpoint, ingest
   log attached) under concurrent client threads, gated on the recorded log
   replaying to the bit-identical live cost table; and
+* **fleet dispatch** — per-run wall-clock, leases and requeues of trial
+  plans run on two real ``repro worker`` subprocesses, for tiny payloads
+  (100 payloads of 200 requests, where dispatch dominates) and a few large
+  ones, against the same plans run serially; gated on every remote table
+  equalling the serial one and on a healthy fleet requeueing nothing; and
 * **telemetry overhead** — the same trial fan-out timed with the real
   :class:`repro.telemetry.MetricsRegistry` versus a
   :class:`~repro.telemetry.NullRegistry` floor, gated on the always-on
@@ -51,9 +56,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -556,6 +563,114 @@ def bench_live(
     }
 
 
+def _spawn_workers(n: int) -> list:
+    """Start ``n`` ``repro worker`` subprocesses on ephemeral local ports.
+
+    Workers import this checkout's ``src`` first, then the caller's own
+    ``PYTHONPATH``, so they see the packages the coordinator sees.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--listen", "tcp://127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            stdin=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        for _ in range(n)
+    ]
+    for worker in workers:
+        banner = worker.stdout.readline()
+        if not banner.startswith("worker listening on "):
+            raise RuntimeError(f"repro worker failed to start: {banner!r}")
+        worker.address = banner.split()[-1]
+    return workers
+
+
+def _stop_workers(workers: list) -> None:
+    """Drain every worker (SIGTERM), killing any that miss the deadline."""
+    for worker in workers:
+        worker.terminate()
+    for worker in workers:
+        try:
+            worker.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            worker.kill()
+            worker.communicate()
+
+
+def _digest(table) -> str:
+    return hashlib.sha256(table.format_text().encode()).hexdigest()[:16]
+
+
+def bench_dist(arms: dict, runs: int) -> dict:
+    """Fleet dispatch on two ``repro worker`` subprocesses, per payload size.
+
+    ``arms`` maps an arm name to ``(n_nodes, n_requests, n_trials)`` of a
+    four-algorithm trial plan.  Each arm runs the plan serially (best of
+    ``runs``), then ``runs`` times through the fleet.  Every remote run
+    records its wall-clock and, from a private metrics registry, the leases
+    granted and payloads requeued.  ``deterministic`` holds when every
+    remote table equals the serial table, row for row and by the digest of
+    its text; ``requeues`` totals the requeues of every run, which a
+    healthy fleet keeps at 0.
+    """
+    from repro.telemetry.registry import MetricsRegistry, use_registry
+
+    algorithms = ["rotor-push", "random-push", "move-to-front", "static-oblivious"]
+    workers = _spawn_workers(2)
+    executor = "tcp://" + ",".join(w.address[len("tcp://") :] for w in workers)
+    report: dict = {"workers": len(workers)}
+    try:
+        for arm, (n_nodes, n_requests, n_trials) in arms.items():
+            plan = combined_trial_plan(n_nodes, algorithms, n_requests, n_trials)
+            serial_seconds = float("inf")
+            for _ in range(runs):
+                start = time.perf_counter()
+                serial = run_plan(plan)
+                serial_seconds = min(serial_seconds, time.perf_counter() - start)
+            remote_plan = plan_with_overrides(plan, executor=executor)
+            run_plan(remote_plan)  # warm-up: first connections and imports
+            entries = []
+            identical = True
+            for _ in range(runs):
+                with use_registry(MetricsRegistry()) as registry:
+                    start = time.perf_counter()
+                    remote = run_plan(remote_plan)
+                    wall = time.perf_counter() - start
+                identical &= remote.rows == serial.rows
+                identical &= _digest(remote) == _digest(serial)
+                entries.append(
+                    {
+                        "wall_seconds": round(wall, 4),
+                        "leases": int(registry.get("repro_dist_leases_total").total()),
+                        "requeues": int(registry.get("repro_dist_requeues_total").total()),
+                    }
+                )
+            walls = sorted(entry["wall_seconds"] for entry in entries)
+            report[arm] = {
+                "n_nodes": n_nodes,
+                "n_payloads": len(algorithms) * n_trials,
+                "n_requests": n_requests,
+                "serial_seconds": round(serial_seconds, 4),
+                "remote_median_seconds": walls[len(walls) // 2],
+                "remote_over_serial": round(walls[len(walls) // 2] / serial_seconds, 2),
+                "serial_digest": _digest(serial),
+                "runs": entries,
+                "deterministic": identical,
+            }
+    finally:
+        _stop_workers(workers)
+    report["deterministic"] = all(report[arm]["deterministic"] for arm in arms)
+    report["requeues"] = sum(
+        entry["requeues"] for arm in arms for entry in report[arm]["runs"]
+    )
+    return report
+
+
 #: Telemetry overhead budget: full instrumentation may cost at most this
 #: fraction of the NullRegistry floor on the trial fan-out.
 TELEMETRY_BUDGET_PCT = 2.0
@@ -627,6 +742,8 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 2, 2_000
         corpus_books, corpus_scale, corpus_requests = 2, 0.05, 2_000
         live_nodes, live_sources, live_requests, live_batch = 255, 2, 600, 8
+        dist_arms = {"tiny": (255, 200, 25), "large": (255, 20_000, 1)}
+        dist_runs = 3
     else:
         serve_nodes, serve_requests, repeats = 1_023, 20_000, 3
         par_nodes, par_requests, par_trials = 1_023, 30_000, 4
@@ -634,6 +751,8 @@ def main(argv=None) -> int:
         resil_trials, resil_requests = 3, 20_000
         corpus_books, corpus_scale, corpus_requests = 3, 0.15, 30_000
         live_nodes, live_sources, live_requests, live_batch = 1_023, 4, 5_000, 16
+        dist_arms = {"tiny": (255, 200, 25), "large": (1_023, 100_000, 2)}
+        dist_runs = 9
 
     report = {
         "benchmark": "BENCH_serve",
@@ -673,6 +792,7 @@ def main(argv=None) -> int:
         "live_serve": bench_live(
             live_nodes, live_sources, live_requests, live_batch
         ),
+        "dist": bench_dist(dist_arms, dist_runs),
         "corpus_scenario": bench_corpus(
             corpus_books,
             corpus_scale,
@@ -713,6 +833,15 @@ def main(argv=None) -> int:
         return 1
     if not report["live_serve"]["deterministic"]:
         print("ERROR: ingest-log replay diverged from the live session", file=sys.stderr)
+        return 1
+    if not report["dist"]["deterministic"]:
+        print("ERROR: a fleet run diverged from the serial run", file=sys.stderr)
+        return 1
+    if report["dist"]["requeues"] != 0:
+        print(
+            f"ERROR: a healthy fleet requeued {report['dist']['requeues']} payloads",
+            file=sys.stderr,
+        )
         return 1
     if not report["telemetry"]["deterministic"]:
         print("ERROR: instrumented run diverged from the NullRegistry run", file=sys.stderr)

@@ -12,8 +12,9 @@ campaign over long-lived worker daemons on other hosts:
   of an executor address string (``tcp://host:port,host:port?lease=30``);
 * :mod:`repro.dist.worker` — the worker daemon (``repro worker --listen
   tcp://0.0.0.0:PORT``): accepts one coordinator at a time, executes leased
-  payloads in a background thread while the connection thread keeps
-  heartbeating, and reports results (or injected worker-level faults);
+  payloads in order on its connection thread while a per-session heartbeat
+  thread keeps the lease alive, and reports results (or injected
+  worker-level faults);
 * :mod:`repro.dist.coordinator` — the lease-based scheduler behind
   ``repro.run(plan, executor=...)``: each payload is leased to one worker
   with a deadline, heartbeats renew the deadline, an expired lease (worker

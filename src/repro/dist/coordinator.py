@@ -9,7 +9,9 @@ entire job is *placement under failure*:
   deadline; any frame from that worker (heartbeat or result) renews it.  A
   deadline passing with no frame — worker crash, hang, network partition —
   expires the lease: the connection is dropped, the worker leaves the fleet
-  and the payload is requeued for another worker.
+  and the payload is requeued for another worker.  A worker with nothing to
+  lease waits on a condition that completions, requeues, failure and abort
+  all notify.
 * **verification** — a ``result`` frame is accepted only if the worker's
   claimed content key equals :func:`~repro.resilience.store.payload_key`
   recomputed from the coordinator's own copy of the payload, and the result
@@ -60,8 +62,9 @@ logger = logging.getLogger("repro.dist")
 #: Seconds allowed for the TCP connect + handshake of one worker.
 _CONNECT_TIMEOUT = 5.0
 
-#: Granularity of the coordinator's receive loop: small enough to notice an
-#: expired deadline promptly, without busy-waiting.
+#: Granularity of the coordinator's receive loop while a lease is out: small
+#: enough to notice an expired deadline or an abort promptly.  A frame wakes
+#: the loop at once, so the poll costs nothing on a healthy fleet.
 _POLL_TIMEOUT = 0.25
 
 
@@ -94,6 +97,9 @@ class DistributedExecutor:
         self.policy = RetryPolicy() if retry is None else retry
         self.stats = stats
         self._lock = threading.Lock()
+        #: Wakes idle worker loops: notified on every completion, requeue,
+        #: run failure and abort.
+        self._wakeup = threading.Condition(self._lock)
         self._queue: deque = deque()
         self._attempts: Dict[int, int] = {}
         self._results: List[Optional[RunResult]] = []
@@ -177,6 +183,8 @@ class DistributedExecutor:
                     thread.join(timeout=0.5)
         except (KeyboardInterrupt, SystemExit):
             self._abort.set()
+            with self._wakeup:
+                self._wakeup.notify_all()
             for thread in threads:
                 thread.join(timeout=5.0)
             raise
@@ -185,11 +193,23 @@ class DistributedExecutor:
         leftover = [index for index, ok in enumerate(self._finished) if not ok]
         return self._results, leftover
 
-    def _next_index(self) -> Optional[int]:
-        with self._lock:
-            if self._queue:
-                return self._queue.popleft()
-        return None
+    def _take(self) -> Optional[int]:
+        """Pop the next queued payload index, blocking until one is queued.
+
+        Returns ``None`` only once the run is over: all finished, failed or
+        aborted.  Until then an idle worker waits here rather than retiring,
+        since a peer's lost lease may still be requeued.
+        """
+        with self._wakeup:
+            while not self._queue:
+                if (
+                    self._abort.is_set()
+                    or self._failure is not None
+                    or all(self._finished)
+                ):
+                    return None
+                self._wakeup.wait()
+            return self._queue.popleft()
 
     def _all_done(self) -> bool:
         with self._lock:
@@ -199,6 +219,7 @@ class DistributedExecutor:
         with self._lock:
             self._queue.append(index)
             self._enqueued[index] = time.perf_counter()
+            self._wakeup.notify_all()
         self._m_requeues.inc()
 
     def _record(self, index: int, lease_id: int, message: dict) -> bool:
@@ -214,7 +235,12 @@ class DistributedExecutor:
                 f"payload {index}, expected {self._keys[index]!r} — refusing "
                 "the result"
             )
-        result = result_from_dict(message.get("result"))
+        try:
+            result = result_from_dict(message.get("result"))
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ProtocolError(
+                f"malformed result document for payload {index}: {error!r}"
+            ) from None
         with self._lock:
             if self._finished[index]:
                 _count(self.stats, "duplicate_results")
@@ -228,6 +254,7 @@ class DistributedExecutor:
                 return False
             self._results[index] = result
             self._finished[index] = True
+            self._wakeup.notify_all()
             _count(self.stats, "executed")
             _count(self.stats, "remote_executed")
             hook = self._on_result
@@ -250,6 +277,7 @@ class DistributedExecutor:
             return
         index: Optional[int] = None
         try:
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_frame(connection, {"type": "hello", "protocol": PROTOCOL_VERSION})
             connection.settimeout(_CONNECT_TIMEOUT)
             welcome = recv_frame(connection)
@@ -260,15 +288,11 @@ class DistributedExecutor:
                 raise ProtocolError(f"bad handshake from worker {label}: {welcome!r}")
             connection.settimeout(_POLL_TIMEOUT)
             while not self._abort.is_set() and self._failure is None:
-                index = self._next_index()
+                index = self._take()
                 if index is None:
                     if self._all_done():
                         self._shutdown(connection)
-                        return
-                    # the queue is empty but a peer still holds a lease: its
-                    # expiry may requeue the payload, so idle — don't retire
-                    time.sleep(_POLL_TIMEOUT)
-                    continue
+                    return
                 if not self._serve_lease(connection, label, index):
                     return  # lease expired or link broke: _serve_lease requeued
                 index = None
@@ -338,6 +362,12 @@ class DistributedExecutor:
                 kind = message.get("type")
                 if kind == "heartbeat":
                     continue
+                if kind in ("result", "error") and message.get("lease_id") != lease_id:
+                    raise ProtocolError(
+                        f"worker {label} answered lease "
+                        f"{message.get('lease_id')!r} while lease {lease_id} "
+                        "is outstanding"
+                    )
                 if kind == "result":
                     if self._record(index, lease_id, message):
                         duration = time.perf_counter() - granted
@@ -372,6 +402,7 @@ class DistributedExecutor:
             with self._lock:
                 if self._failure is None:
                     self._failure = failure
+                self._wakeup.notify_all()
             return True
         _count(self.stats, "retries")
         delay = self.policy.delay(attempt, token=index)

@@ -4,10 +4,11 @@
 serves one coordinator session at a time: it answers the protocol handshake,
 executes leased payloads through the exact same
 :func:`repro.sim.runner._execute_trial` body the process-pool workers run,
-and keeps the lease alive by heartbeating while it computes.  Execution
-happens on a background thread so the connection thread can keep its
-heartbeat cadence however long a trial takes; all socket writes stay on the
-connection thread, so frames never interleave.
+and keeps the lease alive by heartbeating while it computes.  Leases are
+executed one at a time, in the order they arrive, on the connection thread
+itself.  One heartbeat thread per session sends the heartbeats, and only
+while a lease is executing.  Every frame goes out under one send lock, so a
+heartbeat never interleaves with a result.
 
 Results are self-verifying: each ``result`` frame carries the payload's
 content key (:func:`repro.resilience.store.payload_key`, recomputed here
@@ -29,7 +30,9 @@ causes.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 import os
 import signal
 import socket
@@ -61,18 +64,76 @@ logger = logging.getLogger("repro.dist")
 _ACCEPT_POLL = 0.2
 
 
-def _execute_in_thread(payload, box: dict, done: threading.Event) -> None:
-    """Background execution body: fill ``box`` with the outcome, then signal."""
-    try:
-        box["result"] = _execute_trial(payload)
-    except BaseException as error:  # noqa: BLE001 - reported to the coordinator
-        box["error"] = error
-    finally:
-        done.set()
-
-
 class _SessionClosed(Exception):
     """Internal: the current coordinator session must end (worker survives)."""
+
+
+class _Session:
+    """One coordinator connection: serialised writes and its heartbeat thread.
+
+    :meth:`send` is the only way a frame leaves, under one lock.  The
+    heartbeat thread ticks once per heartbeat interval; on a tick that finds
+    a lease executing (:meth:`executing`) it sends that lease's
+    ``heartbeat``.  Marking a lease is two attribute writes, so short leases
+    cost the thread nothing.  The tick re-checks the lease under the send
+    lock, so no heartbeat for a lease follows that lease's result.
+    :meth:`close` stops and joins the thread.
+    """
+
+    def __init__(
+        self, connection: socket.socket, interval: float, on_heartbeat, name: str
+    ) -> None:
+        self.connection = connection
+        self._interval = interval
+        self._on_heartbeat = on_heartbeat
+        self._send_lock = threading.Lock()
+        self._tick = threading.Condition()
+        self._heartbeat: Optional[dict] = None
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._heartbeat_loop, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def send(self, message: dict) -> None:
+        with self._send_lock:
+            send_frame(self.connection, message)
+
+    @contextlib.contextmanager
+    def executing(self, lease_id: object, interval: float):
+        """Heartbeat for ``lease_id`` at least every ``interval`` seconds inside the block."""
+        if interval != self._interval:
+            with self._tick:
+                self._interval = interval
+                self._tick.notify()  # re-arm the tick at the new cadence
+        self._heartbeat = {"type": "heartbeat", "lease_id": lease_id}
+        try:
+            yield
+        finally:
+            self._heartbeat = None
+
+    def close(self) -> None:
+        with self._tick:
+            self._closed = True
+            self._tick.notify()
+        self._thread.join()
+
+    def _heartbeat_loop(self) -> None:
+        with self._tick:
+            while not self._closed:
+                if self._tick.wait(self._interval):
+                    continue  # woken early: closed, or a new cadence
+                frame = self._heartbeat
+                if frame is None:
+                    continue
+                with self._send_lock:
+                    if self._heartbeat is not frame:
+                        continue  # that lease ended while we waited for the lock
+                    try:
+                        send_frame(self.connection, frame)
+                    except OSError:
+                        return  # the connection thread finds the broken link too
+                self._on_heartbeat()
 
 
 class WorkerServer:
@@ -187,14 +248,16 @@ class WorkerServer:
         return self
 
     def request_stop(self) -> None:
-        """Ask the daemon to drain: finish the in-flight lease, then exit.
+        """Ask the daemon to drain: finish the executing lease, then exit.
 
         Safe to call from a signal handler: it only flips the stop flag and
         closes the listener.  The flag is observed between frames (the
         ``_recv`` poll) and between sessions (the accept loop) — never
         inside :meth:`_serve_lease` — so a payload that is mid-execution
         keeps heartbeating to completion and its ``result`` frame still
-        reaches the coordinator before the session ends.
+        reaches the coordinator before the session ends.  A lease still
+        unread in the socket buffer is never started; the coordinator
+        requeues it when the session closes.
         """
         self._stop.set()
         try:
@@ -213,6 +276,7 @@ class WorkerServer:
 
     def _serve_session(self, connection: socket.socket, peer) -> None:
         """Serve one coordinator until shutdown, disconnect or stop()."""
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         connection.settimeout(_ACCEPT_POLL)
         hello = self._recv(connection)
         if hello.get("type") != "hello" or hello.get("protocol") != PROTOCOL_VERSION:
@@ -223,24 +287,32 @@ class WorkerServer:
             {"type": "welcome", "protocol": PROTOCOL_VERSION, "pid": os.getpid()},
         )
         logger.info("worker %s: coordinator %s connected", self.address, peer)
-        while True:
-            message = self._recv(connection)
-            kind = message.get("type")
-            if kind == "shutdown":
-                raise _SessionClosed
-            if kind == "metrics":
-                send_frame(
-                    connection,
-                    metrics_frame(
-                        self.metrics_registry,
-                        self.tracer,
-                        include_trace=bool(message.get("trace")),
-                    ),
-                )
-                continue
-            if kind != "lease":
-                raise ProtocolError(f"unexpected message {kind!r} from {peer}")
-            self._serve_lease(connection, message)
+        session = _Session(
+            connection,
+            self.heartbeat_interval,
+            self._m_heartbeats.inc,
+            f"repro-worker-heartbeat-{self.port}",
+        )
+        try:
+            while True:
+                message = self._recv(connection)
+                kind = message.get("type")
+                if kind == "shutdown":
+                    raise _SessionClosed
+                if kind == "metrics":
+                    session.send(
+                        metrics_frame(
+                            self.metrics_registry,
+                            self.tracer,
+                            include_trace=bool(message.get("trace")),
+                        )
+                    )
+                    continue
+                if kind != "lease":
+                    raise ProtocolError(f"unexpected message {kind!r} from {peer}")
+                self._serve_lease(session, message)
+        finally:
+            session.close()
 
     def _recv(self, connection: socket.socket):
         """Receive one frame, waking periodically to honour stop()."""
@@ -252,43 +324,34 @@ class WorkerServer:
             except socket.timeout:
                 continue
 
-    def _serve_lease(self, connection: socket.socket, message: dict) -> None:
+    def _serve_lease(self, session: _Session, message: dict) -> None:
         """Execute one leased payload, heartbeating until the result is out."""
         lease_id = message.get("lease_id")
         payload = payload_from_dict(message.get("payload"))
-        heartbeat = float(message.get("heartbeat") or self.heartbeat_interval)
-        self._maybe_inject_worker_fault(connection, payload)
+        try:
+            heartbeat = float(message.get("heartbeat") or self.heartbeat_interval)
+        except (TypeError, ValueError):
+            raise ProtocolError(
+                f"lease heartbeat is not a number: {message.get('heartbeat')!r}"
+            ) from None
+        if not 0 < heartbeat < math.inf:
+            raise ProtocolError(
+                f"lease heartbeat must be a positive number, got {heartbeat!r}"
+            )
+        self._maybe_inject_worker_fault(session.connection, payload)
         self._m_leases.inc()
         started = time.perf_counter()
         started_wall = time.time()
         key = payload_key(payload)
-        box: dict = {}
-        done = threading.Event()
-        executor = threading.Thread(
-            target=_execute_in_thread,
-            args=(payload, box, done),
-            name=f"repro-worker-exec-{lease_id}",
-            daemon=True,
-        )
-        executor.start()
-        while not done.wait(timeout=heartbeat):
-            send_frame(connection, {"type": "heartbeat", "lease_id": lease_id})
-            self._m_heartbeats.inc()
-        if "error" in box:
+        try:
+            with session.executing(lease_id, heartbeat):
+                result = _execute_trial(payload)
+        except Exception as error:  # noqa: BLE001 - reported to the coordinator
             self._m_errors.inc()
             self._m_lease_seconds.observe(time.perf_counter() - started)
-            send_frame(
-                connection,
-                {
-                    "type": "error",
-                    "lease_id": lease_id,
-                    "error": repr(box["error"]),
-                },
-            )
+            session.send({"type": "error", "lease_id": lease_id, "error": repr(error)})
             return
-        result = box["result"]
-        send_frame(
-            connection,
+        session.send(
             {
                 "type": "result",
                 "lease_id": lease_id,
@@ -364,10 +427,12 @@ def run_worker(
     (``tcp://HOST:PORT``) mounts the Prometheus/JSON metrics endpoint;
     ``heartbeat`` sets the default cadence for leases that don't carry one.
 
-    SIGTERM and SIGINT both drain rather than kill: the in-flight lease (if
-    any) finishes executing and its result is delivered, then the daemon
-    exits 0 printing ``worker drained``.  Coordinators therefore never see a
-    lease expire just because the fleet was being rotated.
+    SIGTERM and SIGINT both drain rather than kill: the executing lease (if
+    any) finishes and its result is delivered, then the daemon exits 0
+    printing ``worker drained``.  A lease still unread in the socket buffer
+    is never started; the coordinator requeues it when the session closes.
+    Coordinators therefore never see a lease expire just because the fleet
+    was being rotated.
     """
     host, port = parse_listen_address(listen)
     server = WorkerServer(host, port, heartbeat_interval=heartbeat)
